@@ -6,9 +6,25 @@ projected Jacobian H = V^T J V together with the overflow pair
 
     J V = V H + h_{M+1,M} v_{M+1} e_M^T.
 
+The basis vectors are the rows of one preallocated C-contiguous array, so
+one pass of orthogonalizing a new vector against all of them is two
+matrix-vector products.  The kernel is classical Gram-Schmidt with one
+reorthogonalization (CGS2): two passes of c = Q z, z -= Q^T c are enough
+to keep the basis orthonormal to working precision (Daniel, Gragg,
+Kaufman and Stewart 1976; Giraud, Langou and Rozloznik 2005).
+KrylovBasis.v is the (n, M) transposed view of those rows.
+
+K_M(J(y), f(y)) does not depend on the step size; only the adaptive
+stopping index does.  A basis from build_adaptive therefore keeps its
+Arnoldi process, and passing it back as ``previous`` reruns the stopping
+test at a new step size on the vectors already built, growing the basis
+only when the test needs more.  The result is the same as a fresh build.
+
 Beyond the pure Arnoldi loop, arbitrary vectors can be appended to the
 basis while maintaining H = V^T J V; appended columns add a zero row under
-the old Hessenberg block, so H stays upper Hessenberg.
+the old Hessenberg block, so H stays upper Hessenberg.  Appends are
+written in place into spare rows, and the basis is copied only when its
+storage has no free row after it.
 """
 
 from __future__ import annotations
@@ -32,6 +48,30 @@ BREAKDOWN_REL_TOL = 1e-12
 #: Remainder norm <= DROP_REL_TOL * ||w|| makes extend() a no-op.
 DROP_REL_TOL = 1e-12
 
+#: Free rows reserved when extend() copies a basis into new storage.  A
+#: step appends at most s - 1 stage vectors, so one copy serves a step of
+#: up to five stages.
+EXTEND_SPARE_ROWS = 4
+
+
+class _Rows:
+    """Row-major vector storage shared by the bases that view its rows.
+
+    Rows below ``used`` are written and never change again; a basis may
+    write row ``used`` only when it is exactly ``used`` vectors long, that
+    is, when no other basis has claimed that row.
+    """
+
+    def __init__(self, capacity: int, n: int):
+        self.q = np.empty((capacity, n))
+        self.used = 0
+
+    def view(self, size: int) -> np.ndarray:
+        """Read-only (n, size) view of the first size rows."""
+        v = self.q[:size].T
+        v.flags.writeable = False
+        return v
+
 
 @dataclass(frozen=True)
 class KrylovBasis:
@@ -42,6 +82,8 @@ class KrylovBasis:
     outside the Krylov sequence.  h_next/v_next are the Arnoldi overflow
     pair of the core part (h_next == 0 and v_next is None on breakdown).
     beta is the norm of the start vector, so v[:, 0] * beta recovers it.
+    v and v_next are read-only views of row storage shared with the
+    Arnoldi process (``state``) and with bases extended from this one.
     """
 
     v: np.ndarray
@@ -53,6 +95,8 @@ class KrylovBasis:
     ext_count: int = 0
     ext_jv: tuple = ()
     hit_cap: bool = False
+    state: _ArnoldiState | None = None
+    rows: _Rows | None = None
 
     @property
     def size(self) -> int:
@@ -67,56 +111,63 @@ class KrylovBasis:
         return self.beta * self.v[:, 0]
 
 
-def _orthogonalize(zeta: np.ndarray, v: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """One modified-Gram-Schmidt pass against v[:, :ncols], with a second
-    pass when cancellation ate more than half the norm."""
-    coeffs = np.zeros(ncols)
-    norm_before = np.linalg.norm(zeta)
-    for j in range(ncols):
-        c = float(v[:, j] @ zeta)
-        coeffs[j] += c
-        zeta = zeta - c * v[:, j]
-    norm_after = np.linalg.norm(zeta)
-    if norm_after < 0.5 * norm_before:
-        for j in range(ncols):
-            c = float(v[:, j] @ zeta)
-            coeffs[j] += c
-            zeta = zeta - c * v[:, j]
-        norm_after = np.linalg.norm(zeta)
-    return zeta, coeffs, float(norm_after)
+def _orthogonalize(z: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """CGS2: orthogonalize z against the orthonormal rows of q.
+
+    Returns the remainder (a new array; z is not modified), the summed
+    projection coefficients of both passes, and the remainder norm."""
+    coeffs = np.zeros(q.shape[0])
+    for _ in range(2):
+        c = q @ z
+        z = z - q.T @ c
+        coeffs += c
+    return z, coeffs, float(np.linalg.norm(z))
 
 
 class _ArnoldiState:
-    """Incrementally grown Arnoldi factorization (work arrays oversized by one)."""
+    """Incrementally grown Arnoldi factorization of J(y) on K(J(y), f).
+
+    Holds m_max + 1 basis rows and the (m_max + 1, m_max) Hessenberg
+    matrix; after m steps, rows 0..m and h[:m+1, :m] are final.
+    """
 
     def __init__(self, problem, y, f, m_max):
         self.problem = problem
         self.y = y
+        self.m_max = m_max
         beta = float(np.linalg.norm(f))
         if beta <= ZERO_START_THRESHOLD:
             raise ZeroStartVectorError("start vector norm below threshold")
         self.beta = beta
-        n = f.shape[0]
-        self.v = np.zeros((n, m_max + 1))
+        self.rows = _Rows(m_max + 1, f.shape[0])
+        self.rows.q[0] = f / beta
+        self.rows.used = 1
         self.h = np.zeros((m_max + 1, m_max))
-        self.v[:, 0] = f / beta
         self.broke_down = False
         self.m = 0
 
     def advance(self) -> bool:
         """Add one Krylov vector; returns False on happy breakdown."""
         i = self.m
-        zeta = self.problem.jv(self.y, self.v[:, i])
-        zeta, coeffs, hnorm = _orthogonalize(zeta, self.v, i + 1)
+        q = self.rows.q
+        zeta = self.problem.jv(self.y, q[i])
+        zeta, coeffs, hnorm = _orthogonalize(zeta, q[: i + 1])
         self.h[: i + 1, i] = coeffs
         self.h[i + 1, i] = hnorm
+        self.m = i + 1
         if hnorm <= BREAKDOWN_REL_TOL * self.beta:
             self.broke_down = True
-            self.m = i + 1
             return False
-        self.v[:, i + 1] = zeta / hnorm
-        self.m = i + 1
+        np.divide(zeta, hnorm, out=q[i + 1])
+        self.rows.used = i + 2
         return True
+
+    def reach(self, size: int) -> bool:
+        """Advance until the factorization has size vectors; False when a
+        happy breakdown stops it at or before size."""
+        while self.m < size and not self.broke_down:
+            self.advance()
+        return not (self.broke_down and self.m <= size)
 
     def snapshot(self, size: int, hit_cap: bool = False) -> KrylovBasis:
         if self.broke_down and size >= self.m:
@@ -124,9 +175,9 @@ class _ArnoldiState:
             h_next, v_next = 0.0, None
         else:
             h_next = float(self.h[size, size - 1])
-            v_next = self.v[:, size].copy()
+            v_next = self.rows.view(size + 1)[:, size]
         return KrylovBasis(
-            v=self.v[:, :size].copy(),
+            v=self.rows.view(size),
             h=self.h[:size, :size].copy(),
             h_next=h_next,
             v_next=v_next,
@@ -134,6 +185,8 @@ class _ArnoldiState:
             core_size=size,
             ext_count=0,
             hit_cap=hit_cap,
+            state=self,
+            rows=self.rows,
         )
 
 
@@ -143,9 +196,7 @@ def build_fixed(problem, y: np.ndarray, f: np.ndarray, m: int) -> KrylovBasis:
         raise ValueError("basis size must be >= 1")
     m = min(m, problem.dim)
     state = _ArnoldiState(problem, y, f, m)
-    for _ in range(m):
-        if not state.advance():
-            break
+    state.reach(m)
     return state.snapshot(state.m)
 
 
@@ -158,6 +209,7 @@ def build_adaptive(
     resid_tol: float,
     m_max: int,
     test_indices=DEFAULT_TEST_INDICES,
+    previous: KrylovBasis | None = None,
 ) -> KrylovBasis:
     """Grow the basis until the first-stage residual passes resid_tol.
 
@@ -166,22 +218,31 @@ def build_adaptive(
     residual norm |h*gamma*h_{i+1,i}| * |e_i^T lambda_1| compared against
     resid_tol.  Returns the basis at the first passing index, at the
     breakdown index, or at m_max with hit_cap set when no index passed.
+
+    previous, when given, is a basis build_adaptive returned for the same
+    problem, y and f with at least this m_max (say, before a rejected
+    step).  Its Arnoldi vectors are reused and f is not read; the result
+    is identical to a fresh build.
     """
     m_max = min(m_max, problem.dim)
-    tests = sorted(i for i in set(test_indices) if 1 <= i <= m_max)
-    state = _ArnoldiState(problem, y, f, m_max)
-    for i in range(1, m_max + 1):
-        if not state.advance():
+    tests = sorted(i for i in set(test_indices) if 1 <= i < m_max) + [m_max]
+    if previous is None:
+        state = _ArnoldiState(problem, y, f, m_max)
+    else:
+        state = previous.state
+        if state is None or state.problem is not problem or state.y is not y or state.m_max < m_max:
+            raise ValueError("previous basis was not built for this problem, state and m_max")
+    for i in tests:
+        if not state.reach(i):
             return state.snapshot(state.m)
-        if i in tests or i == m_max:
-            try:
-                fac = linalg.lu_factor(state.h[:i, :i], h * gamma)
-                lam1 = linalg.lu_solve(fac, h * state.beta * np.eye(1, i, 0)[0])
-            except SingularMatrixError:
-                continue
-            resid = abs(h * gamma * state.h[i, i - 1]) * abs(lam1[i - 1])
-            if resid <= resid_tol:
-                return state.snapshot(i)
+        try:
+            fac = linalg.lu_factor(state.h[:i, :i], h * gamma)
+            lam1 = linalg.lu_solve(fac, h * state.beta * np.eye(1, i, 0)[0])
+        except SingularMatrixError:
+            continue
+        resid = abs(h * gamma * state.h[i, i - 1]) * abs(lam1[i - 1])
+        if resid <= resid_tol:
+            return state.snapshot(i)
     return state.snapshot(m_max, hit_cap=True)
 
 
@@ -205,23 +266,29 @@ def extend(basis: KrylovBasis, problem, y: np.ndarray, w: np.ndarray) -> KrylovB
     if wnorm == 0.0:
         return basis
     m = basis.size
-    rem, _, remnorm = _orthogonalize(w.copy(), basis.v, m)
+    rem, _, remnorm = _orthogonalize(w, basis.v.T)
     if remnorm <= DROP_REL_TOL * wnorm:
         return basis
     vbar = rem / remnorm
     jvbar = problem.jv(y, vbar)
-    v_new = np.column_stack([basis.v, vbar])
+    rows = basis.rows
+    if rows is None or rows.used != m or rows.q.shape[0] == m:
+        rows = _Rows(m + EXTEND_SPARE_ROWS, basis.dim)
+        rows.q[:m] = basis.v.T
+    rows.q[m] = vbar
+    rows.used = m + 1
     h_new = np.zeros((m + 1, m + 1))
     h_new[:m, :m] = basis.h
-    h_new[:, m] = v_new.T @ jvbar
+    h_new[:, m] = rows.q[: m + 1] @ jvbar
     for k, jv_k in enumerate(basis.ext_jv):
         h_new[m, basis.core_size + k] = float(vbar @ jv_k)
     return replace(
         basis,
-        v=v_new,
+        v=rows.view(m + 1),
         h=h_new,
         ext_count=basis.ext_count + 1,
         ext_jv=basis.ext_jv + (jvbar,),
+        rows=rows,
     )
 
 

@@ -356,22 +356,40 @@ def cmd_defaults(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _shared_options(default) -> argparse.ArgumentParser:
+    options = argparse.ArgumentParser(add_help=False, argument_default=default)
+    options.add_argument("--config", help="INI config file (defaults apply otherwise)")
+    options.add_argument("--out", help="output path for CSV/reference files")
+    options.add_argument("--workers", type=int, help="parallel sweep workers (default 1)")
+    options.add_argument("--seed", type=int, help="seed override for generated problems")
+    return options
+
+
+def _parser() -> argparse.ArgumentParser:
+    """Parser for ``rok [options] <command> [options]``.
+
+    The shared options parse on either side of the subcommand.  Their copy
+    on the subcommands has no defaults, so it leaves a value given before
+    the subcommand in place.
+    """
     parser = argparse.ArgumentParser(
         prog="rok",
         description="Rosenbrock-Krylov integration: runs, sweeps, references, stability scans.",
+        parents=[_shared_options(None)],
     )
-    parser.add_argument("--config", default=None, help="INI config file (defaults apply otherwise)")
-    parser.add_argument("--out", default=None, help="output path for CSV/reference files")
-    parser.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
-    parser.add_argument("--seed", type=int, default=None, help="seed override for generated problems")
+    parser.set_defaults(workers=1)
+    after = _shared_options(argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("run", help="integrate once and print a summary")
-    sub.add_parser("sweep", help="work-precision sweep to CSV")
-    sub.add_parser("reference", help="compute and store a reference solution")
-    sub.add_parser("stability", help="spectral-radius scan to CSV")
-    sub.add_parser("defaults", help="print the default config")
-    args = parser.parse_args(argv)
+    sub.add_parser("run", parents=[after], help="integrate once and print a summary")
+    sub.add_parser("sweep", parents=[after], help="work-precision sweep to CSV")
+    sub.add_parser("reference", parents=[after], help="compute and store a reference solution")
+    sub.add_parser("stability", parents=[after], help="spectral-radius scan to CSV")
+    sub.add_parser("defaults", parents=[after], help="print the default config")
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     handlers = {
         "run": cmd_run,

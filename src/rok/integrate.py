@@ -3,6 +3,9 @@
 Standard accept/reject loop with an embedded error estimate: per step the
 Krylov basis is built according to the configured strategy, one step is
 taken, and the weighted RMS of (y_new - y_embedded) decides acceptance.
+A rejected step leaves y, and so K(J(y), f(y)), unchanged: the retry keeps
+the basis (fixed strategy) or its Arnoldi process (adaptive strategies,
+which rerun only the stopping test at the new step size).
 The step-size update is the usual Hairer-style controller
 
     h_next = h * min(fac_max, max(fac_min, safety * err**(-1/(min(p, p_hat)+1)))).
@@ -108,7 +111,7 @@ def _error_norm(y_new, y_embedded, rtol, atol):
     return float(np.sqrt(np.mean(w * w)))
 
 
-def _build_basis(problem, y, f, h, tableau, config):
+def _build_basis(problem, y, f, h, tableau, config, previous=None):
     strategy = config.basis_strategy
     if isinstance(strategy, FixedBasis):
         return arnoldi.build_fixed(problem, y, f, strategy.m)
@@ -119,8 +122,16 @@ def _build_basis(problem, y, f, h, tableau, config):
     else:
         raise TypeError(f"unknown basis strategy {strategy!r}")
     return arnoldi.build_adaptive(
-        problem, y, f, h, tableau.gamma, resid_tol, config.m_max, config.test_indices
+        problem, y, f, h, tableau.gamma, resid_tol, config.m_max, config.test_indices,
+        previous=previous,
     )
+
+
+def _start_vector(problem, y, t):
+    f0 = problem.f(y)
+    if not np.all(np.isfinite(f0)):
+        raise NonFiniteError(f"right-hand side f(y) is not finite at t={t:.6g}")
+    return f0
 
 
 def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
@@ -129,7 +140,8 @@ def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
 
     Raises StepSizeUnderflowError when the controller cannot find an
     acceptable step above h_min (the stability-bound failure mode of too
-    small a fixed basis on stiff problems).
+    small a fixed basis on stiff problems), and NonFiniteError when f is
+    not finite at the start of a step.
     """
     config.validate()
     if tf <= t0:
@@ -143,7 +155,7 @@ def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
     exponent = -1.0 / (min(tableau.order, tableau.embedded_order) + 1)
     t = t0
     h = min(config.h_init, config.h_max, tf - t0)
-    basis = None  # reused across rejections for the fixed strategy
+    basis = None  # kept across rejections: K(J(y), f(y)) does not depend on h
     fixed = isinstance(config.basis_strategy, FixedBasis)
 
     t_edge = 1e-14 * max(1.0, abs(tf))
@@ -152,10 +164,9 @@ def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
         if t + h >= tf:
             h = tf - t
             clipped = True
-            basis = None if not fixed else basis
 
         if basis is None:
-            f0 = problem.f(y)
+            f0 = _start_vector(problem, y, t)
             if np.linalg.norm(f0) <= arnoldi.ZERO_START_THRESHOLD:
                 # Equilibrium of an autonomous system: the exact step is trivial.
                 t = tf if clipped else t + h
@@ -167,6 +178,9 @@ def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
                 t = tf if clipped else t + h
                 stats.accepted += 1
                 continue
+        elif not fixed:
+            # Retry after a rejection: only the adaptive stopping index moves with h.
+            basis = _build_basis(problem, y, f0, h, tableau, config, previous=basis)
 
         try:
             res = rok_step(problem, y, h, tableau, basis,
@@ -186,8 +200,6 @@ def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
             basis = None
         else:
             stats.rejected += 1
-            if not fixed:
-                basis = None  # adaptive targets depend on h; rebuild
 
         if math.isinf(err):
             factor = 0.5
@@ -214,8 +226,8 @@ def integrate_fixed(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tabl
     y = np.asarray(y0, dtype=float).copy()
     h = (tf - t0) / n_steps
     m_eff = problem.dim if m is None else min(m, problem.dim)
-    for _ in range(n_steps):
-        f0 = problem.f(y)
+    for k in range(n_steps):
+        f0 = _start_vector(problem, y, t0 + k * h)
         if np.linalg.norm(f0) <= arnoldi.ZERO_START_THRESHOLD:
             continue
         basis = arnoldi.build_fixed(problem, y, f0, m_eff)

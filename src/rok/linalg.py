@@ -2,8 +2,7 @@
 
 The stage systems of the integrator have the form (I - hg*H) x = rhs with H
 a small upper-Hessenberg matrix.  This module provides an LU factorization
-with adjacent-row partial pivoting that exploits the Hessenberg fill
-pattern, an O(M^2) column-append update used when the Krylov basis grows
+by LAPACK, an O(M^2) column-append update used when the Krylov basis grows
 mid-step, and a spectral-radius helper for the stability diagnostics.
 """
 
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from .errors import DimensionMismatchError, NoConvergenceError, SingularMatrixError
 
@@ -47,46 +46,38 @@ def _pivot_threshold(scale: float) -> float:
 
 
 def lu_factor(hess: np.ndarray, hg: float) -> HessenbergFactorization:
-    """Factor I - hg*H with partial pivoting over the nonzero fill.
+    """Factor I - hg*H by LAPACK getrf (partial pivoting).
 
     For upper-Hessenberg H only the subdiagonal entry competes for the
-    pivot, so the swaps are adjacent-row and the cost O(M^2).  Matrices
-    with extra sub-Hessenberg entries (the extended-basis refactorization
-    path) are handled by the same elimination at correspondingly higher
-    cost.  Raises SingularMatrixError when a pivot falls below the
-    scale-relative threshold.
+    pivot.  Matrices with extra sub-Hessenberg entries (the extended-basis
+    refactorization path) are handled by the same call.  Raises
+    SingularMatrixError when a pivot falls below the scale-relative
+    threshold.
     """
     hess = np.asarray(hess, dtype=float)
     m = hess.shape[0]
     if hess.shape != (m, m):
         raise DimensionMismatchError(f"H must be square, got {hess.shape}")
-    a = np.eye(m) - hg * hess
-    scale = float(np.max(np.abs(a))) if m else 0.0
+    if m == 0:  # getrf rejects an empty matrix
+        return HessenbergFactorization(perm=np.arange(0), lower=np.eye(0), upper=np.eye(0),
+                                       hg=hg, scale=0.0)
+    a = hess * -hg
+    a.flat[:: m + 1] += 1.0
+    scale = float(np.max(np.abs(a)))
+    lu, piv, _ = lapack.dgetrf(a)
+    pivots = np.abs(lu.diagonal())
     thresh = _pivot_threshold(scale)
-
-    perm = np.arange(m)
-    lower = np.eye(m)
-    upper = a.copy()
-    for k in range(m - 1):
-        rows = k + np.nonzero(upper[k:, k])[0]
-        if rows.size == 0:
-            raise SingularMatrixError(f"zero column {k}")
-        p = int(rows[np.argmax(np.abs(upper[rows, k]))])
-        if p != k:
-            upper[[k, p], k:] = upper[[p, k], k:]
-            lower[[k, p], :k] = lower[[p, k], :k]
-            perm[[k, p]] = perm[[p, k]]
-        if abs(upper[k, k]) <= thresh:
-            raise SingularMatrixError(f"pivot {upper[k, k]:.3e} below threshold at column {k}")
-        below = k + 1 + np.nonzero(upper[k + 1 :, k])[0]
-        for i in below:
-            mult = upper[i, k] / upper[k, k]
-            lower[i, k] = mult
-            upper[i, k:] -= mult * upper[k, k:]
-            upper[i, k] = 0.0
-    if m and abs(upper[m - 1, m - 1]) <= thresh:
-        raise SingularMatrixError("last pivot below threshold")
-    return HessenbergFactorization(perm=perm, lower=lower, upper=upper, hg=hg, scale=scale)
+    if pivots.min() <= thresh:
+        k = int(np.argmax(pivots <= thresh))
+        raise SingularMatrixError(f"pivot {lu[k, k]:.3e} below threshold at column {k}")
+    perm = list(range(m))
+    for k, p in enumerate(piv.tolist()):  # getrf's row interchanges, in order
+        perm[k], perm[p] = perm[p], perm[k]
+    upper = np.triu(lu)
+    lower = lu - upper  # exact: the strictly lower part, zero elsewhere
+    lower.flat[:: m + 1] = 1.0
+    return HessenbergFactorization(perm=np.array(perm, dtype=int), lower=lower, upper=upper,
+                                   hg=hg, scale=scale)
 
 
 def lu_solve(fac: HessenbergFactorization, rhs: np.ndarray) -> np.ndarray:

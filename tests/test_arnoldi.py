@@ -5,7 +5,8 @@ import pytest
 
 from rok import arnoldi, linalg
 from rok.errors import ZeroStartVectorError
-from rok.problems import make_linear
+from rok.problems import AllenCahnSpec, make_allen_cahn, make_linear
+from rok.tableau import default_tableau
 
 from conftest import make_random_nonlinear
 
@@ -209,3 +210,127 @@ def test_selective_reorthogonalization_keeps_tiny_loss():
     basis = arnoldi.build_fixed(prob, prob.y0, f, 8)
     m = basis.size
     assert np.max(np.abs(basis.v.T @ basis.v - np.eye(m))) <= 1e-12
+
+
+def _mgs_arnoldi(jv, f, m):
+    """Column-oriented modified Gram-Schmidt Arnoldi with one
+    reorthogonalization pass: the oracle for the row-major CGS2 kernel."""
+    v = np.zeros((f.size, m + 1))
+    h = np.zeros((m + 1, m))
+    v[:, 0] = f / np.linalg.norm(f)
+    for j in range(m):
+        w = jv(v[:, j])
+        for _ in range(2):
+            for i in range(j + 1):
+                c = v[:, i] @ w
+                h[i, j] += c
+                w = w - c * v[:, i]
+        h[j + 1, j] = np.linalg.norm(w)
+        v[:, j + 1] = w / h[j + 1, j]
+    return v, h
+
+
+def _mgs_extend(jv, v, h, ext_jv, core_size, w):
+    m = v.shape[1]
+    for _ in range(2):
+        for i in range(m):
+            w = w - (v[:, i] @ w) * v[:, i]
+    vbar = w / np.linalg.norm(w)
+    jvbar = jv(vbar)
+    v = np.column_stack([v, vbar])
+    grown = np.zeros((m + 1, m + 1))
+    grown[:m, :m] = h
+    grown[:, m] = v.T @ jvbar
+    for k, jv_k in enumerate(ext_jv):
+        grown[m, core_size + k] = vbar @ jv_k
+    return v, grown, ext_jv + [jvbar]
+
+
+def test_kernel_matches_mgs_oracle_in_krylov_regime():
+    # N = 4096 >> M = 48 on the stiff Allen-Cahn Jacobian, plus two
+    # appended stage-like vectors.  H entries reach ||J|| ~ 2e4 here, so
+    # H is compared relative to its largest entry.
+    prob = make_allen_cahn(AllenCahnSpec(64, 64, alpha=1.0))
+    y = prob.y0
+    f = prob.f(y)
+    m = 48
+    rng = np.random.default_rng(21)
+    ws = [prob.f(y + 0.01 * rng.standard_normal(y.size)) for _ in range(2)]
+    basis = arnoldi.build_fixed(prob, y, f, m)
+    assert basis.size == m
+    for w in ws:
+        basis = arnoldi.extend(basis, prob, y, w)
+    assert basis.size == m + 2
+
+    def jv(vec):
+        return prob.jv(y, vec)
+
+    v_ref, h_ref = _mgs_arnoldi(jv, f, m)
+    assert np.max(np.abs(basis.v_next - v_ref[:, m])) <= 1e-10
+    assert abs(basis.h_next - h_ref[m, m - 1]) <= 1e-10 * abs(h_ref[m, m - 1])
+    v_ref, h_ref, ext_jv = v_ref[:, :m], h_ref[:m, :m], []
+    for w in ws:
+        v_ref, h_ref, ext_jv = _mgs_extend(jv, v_ref, h_ref, ext_jv, m, w)
+    assert np.max(np.abs(basis.v.T @ basis.v - np.eye(m + 2))) <= 1e-12
+    assert np.max(np.abs(basis.v - v_ref)) <= 1e-10
+    assert np.max(np.abs(basis.h - h_ref)) <= 1e-10 * np.max(np.abs(h_ref))
+
+
+@pytest.mark.parametrize("h_first,h_again", [(1e-2, 5e-3), (5e-3, 1e-2), (1e-1, 5e-2)])
+def test_adaptive_reuse_is_bitwise_a_fresh_build(h_first, h_again):
+    # Rerunning the stopping test at a new step size on a kept Arnoldi
+    # process must give exactly the basis of a fresh build, and call jv
+    # only for vectors beyond those already built.  (1e-1, 5e-2) hits the
+    # cap both times; (5e-3, 1e-2) has to grow the basis.
+    prob = make_allen_cahn(AllenCahnSpec(32, 32, alpha=1.0))
+    y = prob.y0
+    f = prob.f(y)
+    gamma = default_tableau().gamma
+    kept = arnoldi.build_adaptive(prob, y, f, h_first, gamma, 1e-6, 48)
+    built = kept.state.m
+    before = prob.n_jvp
+    again = arnoldi.build_adaptive(prob, y, f, h_again, gamma, 1e-6, 48, previous=kept)
+    reuse_jv = prob.n_jvp - before
+    before = prob.n_jvp
+    fresh = arnoldi.build_adaptive(prob, y, f, h_again, gamma, 1e-6, 48)
+    assert reuse_jv == max(0, fresh.state.m - built)
+    if fresh.size <= built:
+        assert reuse_jv == 0
+    assert prob.n_jvp - before == fresh.state.m
+    assert np.array_equal(again.v, fresh.v)
+    assert np.array_equal(again.h, fresh.h)
+    assert again.h_next == fresh.h_next
+    assert np.array_equal(again.v_next, fresh.v_next)
+    assert again.hit_cap == fresh.hit_cap
+
+
+def test_adaptive_reuse_rejects_a_basis_of_another_state():
+    rng = np.random.default_rng(22)
+    prob = make_random_nonlinear(20, rng)
+    y = rng.standard_normal(20)
+    kept = arnoldi.build_adaptive(prob, y, prob.f(y), 0.05, 0.5, 1e-6, 10)
+    other = y.copy()
+    with pytest.raises(ValueError):
+        arnoldi.build_adaptive(prob, other, prob.f(other), 0.05, 0.5, 1e-6, 10, previous=kept)
+
+
+def test_extend_in_place_leaves_other_bases_intact():
+    # Appends share row storage; extending the same basis twice, or an
+    # older basis after a newer one, must not overwrite rows in use.
+    rng = np.random.default_rng(23)
+    prob = make_random_nonlinear(30, rng)
+    y = rng.standard_normal(30)
+    base = arnoldi.build_fixed(prob, y, prob.f(y), 5)
+    v_next = base.v_next.copy()
+    one = arnoldi.extend(base, prob, y, rng.standard_normal(30))
+    two = arnoldi.extend(one, prob, y, rng.standard_normal(30))
+    saved = [b.v.copy() for b in (base, one, two)]
+    other = arnoldi.extend(one, prob, y, rng.standard_normal(30))
+    again = arnoldi.extend(base, prob, y, rng.standard_normal(30))
+    for b, v in zip((base, one, two), saved):
+        assert np.array_equal(b.v, v)
+    assert np.array_equal(base.v_next, v_next)
+    for b in (other, again):
+        assert np.max(np.abs(b.v.T @ b.v - np.eye(b.size))) <= 1e-12
+    with pytest.raises(ValueError):
+        base.v[0, 0] = 1.0  # bases are read-only views of the shared rows

@@ -250,3 +250,27 @@ def test_fmt_uses_shortest_round_trip():
     assert cli._fmt(0.1) == "0.1"
     assert cli._fmt(1e-06) == "1e-06"
     assert cli._fmt(7) == "7"
+
+
+def test_documented_run_form_with_config_after_subcommand(tmp_path, capsys):
+    assert cli.main(["run", "--config", str(write(tmp_path, DAHLQUIST_RUN))]) == 0
+    assert "accepted/rejected" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--config", "c.ini", "--out", "o.csv", "--workers", "3", "--seed", "7", "sweep"],
+        ["sweep", "--config", "c.ini", "--out", "o.csv", "--workers", "3", "--seed", "7"],
+        ["--config", "c.ini", "--workers", "3", "sweep", "--out", "o.csv", "--seed", "7"],
+    ],
+)
+def test_shared_options_parse_before_and_after_subcommand(argv):
+    args = cli._parser().parse_args(argv)
+    assert (args.command, args.config, args.out, args.workers, args.seed) == (
+        "sweep", "c.ini", "o.csv", 3, 7)
+
+
+def test_shared_option_defaults():
+    args = cli._parser().parse_args(["run"])
+    assert (args.config, args.out, args.workers, args.seed) == (None, None, 1, None)

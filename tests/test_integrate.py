@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rok.errors import StepSizeUnderflowError
+from rok.errors import NonFiniteError, StepSizeUnderflowError
 from rok.integrate import (
     AdaptiveResidual,
     AdaptiveResidualMatchTol,
@@ -12,7 +12,7 @@ from rok.integrate import (
     integrate,
     integrate_fixed,
 )
-from rok.problems import make_dahlquist, make_smooth_nonlinear
+from rok.problems import OdeProblem, make_dahlquist, make_smooth_nonlinear
 from rok.reference import rk4_integrate
 
 from conftest import make_random_nonlinear
@@ -142,3 +142,15 @@ def test_rhs_and_jvp_counting(tab):
     # three RHS evaluations per attempted step (start vector + two stages)
     attempts = sol.stats.accepted + sol.stats.rejected
     assert sol.stats.rhs_evals <= 3 * attempts
+
+
+@pytest.mark.parametrize("run", ["fixed-basis", "adaptive", "integrate_fixed"])
+def test_non_finite_rhs_names_the_rhs_not_the_jvp(tab, run):
+    prob = OdeProblem(dim=2, rhs=lambda y: np.full(2, np.nan), jvp=lambda y, v: -v,
+                      name="nan-rhs", y0=np.ones(2), t_span=(0.5, 1.0))
+    strategy = {"fixed-basis": FixedBasis(2), "adaptive": AdaptiveResidualMatchTol()}.get(run)
+    with pytest.raises(NonFiniteError, match=r"right-hand side .* at t=0\.5"):
+        if strategy is None:
+            integrate_fixed(prob, 0.5, 1.0, prob.y0, tab, 4)
+        else:
+            integrate(prob, 0.5, 1.0, prob.y0, tab, IntegratorConfig(basis_strategy=strategy))

@@ -24,6 +24,28 @@ def test_lu_solve_matches_dense_solver():
         assert np.allclose(x, x_ref, rtol=1e-12, atol=1e-13)
 
 
+def test_lu_factor_pivots_when_stiff():
+    # hg * ||H|| >> 1, as in stiff steps: partial pivoting swaps rows, and
+    # the factors must keep the documented P(I - hg*H) = L U contract.
+    rng = np.random.default_rng(6)
+    swapped = 0
+    for _ in range(25):
+        m = int(rng.integers(2, 30))
+        h = random_hessenberg(m, rng)
+        hg = float(rng.uniform(1.0, 10.0))
+        a = np.eye(m) - hg * h
+        fac = linalg.lu_factor(h, hg)
+        swapped += not np.array_equal(fac.perm, np.arange(m))
+        assert np.array_equal(fac.lower, np.tril(fac.lower))
+        assert np.all(np.diag(fac.lower) == 1.0)
+        assert np.array_equal(fac.upper, np.triu(fac.upper))
+        assert np.allclose(fac.lower @ fac.upper, a[fac.perm], rtol=0, atol=1e-12 * np.abs(a).max())
+        rhs = rng.standard_normal(m)
+        x = linalg.lu_solve(fac, rhs)
+        assert np.allclose(a @ x, rhs, rtol=0, atol=1e-10)
+    assert swapped > 10
+
+
 def test_lu_factor_handles_entries_below_subdiagonal():
     # The refactorization fallback after basis extension sees matrices that
     # are Hessenberg-plus-a-few-rows; the elimination must still be exact.
