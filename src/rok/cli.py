@@ -16,14 +16,13 @@ import csv
 import io
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import arnoldi, reference, stability
-from .errors import StepSizeUnderflowError
+from .errors import NonFiniteError, StepSizeUnderflowError
 from .integrate import (
     AdaptiveResidual,
     AdaptiveResidualMatchTol,
@@ -173,7 +172,6 @@ def _integrator_config(cp, rtol=None, atol=None, strategy_label=None) -> Integra
         fac_min=sec.getfloat("fac_min"),
         fac_max=sec.getfloat("fac_max"),
         m_max=sec.getint("m_max"),
-        test_indices=arnoldi.DEFAULT_TEST_INDICES,
     )
     cfg.validate()
     return cfg
@@ -193,7 +191,7 @@ def cmd_run(args) -> int:
     t0, tf = problem.t_span
     try:
         sol = integrate(problem, t0, tf, problem.y0, tab, cfg)
-    except StepSizeUnderflowError as exc:
+    except (StepSizeUnderflowError, NonFiniteError) as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1
     s = sol.stats
@@ -223,7 +221,7 @@ def _run_sweep_cell(cp, tab, cell: _SweepCell, y_ref, timing: bool):
     try:
         sol = integrate(problem, t0, tf, problem.y0, tab, cfg)
         converged = True
-    except StepSizeUnderflowError:
+    except (StepSizeUnderflowError, NonFiniteError):
         sol = None
         converged = False
     wall = time.perf_counter() - start if timing else 0.0
@@ -278,18 +276,13 @@ def cmd_sweep(args) -> int:
         print(f"reference computation failed: {exc}", file=sys.stderr)
         return 1
 
-    cells = [_SweepCell(s, t) for s in strategies for t in tolerances]
-    workers = max(1, args.workers)
-    if workers == 1:
-        rows = [_run_sweep_cell(cp, tab, c, y_ref, timing) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: _run_sweep_cell(cp, tab, c, y_ref, timing), cells))
+    rows = [_run_sweep_cell(cp, tab, _SweepCell(s, t), y_ref, timing)
+            for s in strategies for t in tolerances]
 
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_CSV_HEADER, lineterminator="\n")
     writer.writeheader()
-    for row in rows:  # cells were generated in (strategy, tol) order
+    for row in rows:  # cells run in (strategy, tol) order
         writer.writerow(row)
     out = Path(args.out) if args.out else Path("sweep.csv")
     out.write_text(buf.getvalue(), encoding="utf-8")
@@ -360,7 +353,6 @@ def _shared_options(default) -> argparse.ArgumentParser:
     options = argparse.ArgumentParser(add_help=False, argument_default=default)
     options.add_argument("--config", help="INI config file (defaults apply otherwise)")
     options.add_argument("--out", help="output path for CSV/reference files")
-    options.add_argument("--workers", type=int, help="parallel sweep workers (default 1)")
     options.add_argument("--seed", type=int, help="seed override for generated problems")
     return options
 
@@ -377,7 +369,6 @@ def _parser() -> argparse.ArgumentParser:
         description="Rosenbrock-Krylov integration: runs, sweeps, references, stability scans.",
         parents=[_shared_options(None)],
     )
-    parser.set_defaults(workers=1)
     after = _shared_options(argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", parents=[after], help="integrate once and print a summary")

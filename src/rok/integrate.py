@@ -1,11 +1,14 @@
-"""Adaptive time-stepping driver around the Rosenbrock-Krylov step.
+"""Adaptive time stepping: one step controller for every step method.
 
-Standard accept/reject loop with an embedded error estimate: per step the
-Krylov basis is built according to the configured strategy, one step is
-taken, and the weighted RMS of (y_new - y_embedded) decides acceptance.
-A rejected step leaves y, and so K(J(y), f(y)), unchanged: the retry keeps
-the basis (fixed strategy) or its Arnoldi process (adaptive strategies,
-which rerun only the stopping test at the new step size).
+control is the standard accept/reject loop with an embedded error
+estimate: it takes one step, and the weighted RMS of
+(y_new - y_embedded) decides acceptance.  The step method is a callable;
+integrate passes the Rosenbrock-Krylov step, which builds the Krylov
+basis according to the configured strategy, and the full-space reference
+(rok.reference) passes the direct step.  A rejected step leaves y, and so
+f(y) and K(J(y), f(y)), unchanged: the retry keeps f(y) and the basis
+(fixed strategy) or its Arnoldi process (adaptive strategies, which rerun
+only the stopping test at the new step size).
 The step-size update is the usual Hairer-style controller
 
     h_next = h * min(fac_max, max(fac_min, safety * err**(-1/(min(p, p_hat)+1)))).
@@ -19,12 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arnoldi
-from .errors import (
-    NonFiniteError,
-    SingularMatrixError,
-    StepSizeUnderflowError,
-    ZeroStartVectorError,
-)
+from .errors import NonFiniteError, SingularMatrixError, StepSizeUnderflowError
 from .step import rok_step
 from .tableau import Tableau
 
@@ -71,7 +69,6 @@ class IntegratorConfig:
     fac_min: float = 0.2
     fac_max: float = 5.0
     m_max: int = 48
-    test_indices: tuple = arnoldi.DEFAULT_TEST_INDICES
 
     def validate(self) -> None:
         if not (self.rtol > 0.0 and self.atol > 0.0):
@@ -122,8 +119,7 @@ def _build_basis(problem, y, f, h, tableau, config, previous=None):
     else:
         raise TypeError(f"unknown basis strategy {strategy!r}")
     return arnoldi.build_adaptive(
-        problem, y, f, h, tableau.gamma, resid_tol, config.m_max, config.test_indices,
-        previous=previous,
+        problem, y, f, h, tableau.gamma, resid_tol, config.m_max, previous=previous
     )
 
 
@@ -134,14 +130,17 @@ def _start_vector(problem, y, t):
     return f0
 
 
-def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
-              config: IntegratorConfig) -> Solution:
-    """Integrate the autonomous system from t0 to tf.
+def control(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
+            config: IntegratorConfig, step) -> Solution:
+    """Accept/reject loop from t0 to tf around one step method.
 
-    Raises StepSizeUnderflowError when the controller cannot find an
-    acceptable step above h_min (the stability-bound failure mode of too
-    small a fixed basis on stiff problems), and NonFiniteError when f is
-    not finite at the start of a step.
+    step(y, f0, h, retry) takes a step of size h from y, where f0 = f(y),
+    and returns a StepResult; retry is True when the last attempt from this
+    y was rejected.  f(y) is evaluated once per state, and a state with
+    f(y) = 0 (an equilibrium) is stepped trivially.  A step raising
+    NonFiniteError or SingularMatrixError counts as a rejection that
+    halves h.  Raises StepSizeUnderflowError when no acceptable step above
+    h_min exists, and NonFiniteError when f(y) is not finite.
     """
     config.validate()
     if tf <= t0:
@@ -155,8 +154,7 @@ def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
     exponent = -1.0 / (min(tableau.order, tableau.embedded_order) + 1)
     t = t0
     h = min(config.h_init, config.h_max, tf - t0)
-    basis = None  # kept across rejections: K(J(y), f(y)) does not depend on h
-    fixed = isinstance(config.basis_strategy, FixedBasis)
+    f0 = None  # f(y), kept across rejections
 
     t_edge = 1e-14 * max(1.0, abs(tf))
     while tf - t > t_edge:
@@ -165,26 +163,18 @@ def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
             h = tf - t
             clipped = True
 
-        if basis is None:
+        retry = f0 is not None
+        if not retry:
             f0 = _start_vector(problem, y, t)
             if np.linalg.norm(f0) <= arnoldi.ZERO_START_THRESHOLD:
                 # Equilibrium of an autonomous system: the exact step is trivial.
                 t = tf if clipped else t + h
                 stats.accepted += 1
+                f0 = None
                 continue
-            try:
-                basis = _build_basis(problem, y, f0, h, tableau, config)
-            except ZeroStartVectorError:
-                t = tf if clipped else t + h
-                stats.accepted += 1
-                continue
-        elif not fixed:
-            # Retry after a rejection: only the adaptive stopping index moves with h.
-            basis = _build_basis(problem, y, f0, h, tableau, config, previous=basis)
 
         try:
-            res = rok_step(problem, y, h, tableau, basis,
-                           extend=config.extend_with_stage_rhs)
+            res = step(y, f0, h, retry)
             err = _error_norm(res.y_new, res.y_embedded, config.rtol, config.atol)
         except (NonFiniteError, SingularMatrixError):
             err = math.inf
@@ -197,7 +187,7 @@ def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
             stats.extensions += res.stats.extensions
             if res.stats.hit_cap:
                 stats.hit_cap_steps += 1
-            basis = None
+            f0 = None
         else:
             stats.rejected += 1
 
@@ -215,6 +205,31 @@ def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
     stats.rhs_evals = problem.n_rhs - rhs0
     stats.jvp_evals = problem.n_jvp - jvp0
     return Solution(t=t, y=y, stats=stats)
+
+
+def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
+              config: IntegratorConfig) -> Solution:
+    """Integrate the autonomous system from t0 to tf.
+
+    Raises StepSizeUnderflowError when the controller cannot find an
+    acceptable step above h_min (the stability-bound failure mode of too
+    small a fixed basis on stiff problems), and NonFiniteError when f is
+    not finite at the start of a step.
+    """
+    fixed = isinstance(config.basis_strategy, FixedBasis)
+    basis = None  # kept across rejections: K(J(y), f(y)) does not depend on h
+
+    def krylov_step(y, f0, h, retry):
+        nonlocal basis
+        if not retry:
+            basis = None  # free the last state's basis before allocating the next
+            basis = _build_basis(problem, y, f0, h, tableau, config)
+        elif not fixed:
+            # Only the adaptive stopping index moves with h.
+            basis = _build_basis(problem, y, f0, h, tableau, config, previous=basis)
+        return rok_step(problem, y, h, tableau, basis, extend=config.extend_with_stage_rhs)
+
+    return control(problem, t0, tf, y0, tableau, config, krylov_step)
 
 
 def integrate_fixed(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,

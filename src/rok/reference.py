@@ -1,11 +1,12 @@
 """Reference solutions: full-space integration, an independent fixed-step
 oracle, and the binary reference-state file format.
 
-The reference integrator is the suite's full-space mode: a classical
-Rosenbrock step whose stage systems use the exact Jacobian with a direct
-(sparse or dense) factorization, equivalent to a Krylov step with M = N
-but without building a basis.  Cross-validation uses classical fixed-step
-RK4 with step halving, which shares nothing with the Rosenbrock path.
+The reference integrator is the suite's full-space mode: step.direct_step,
+a classical Rosenbrock step whose stage systems use the exact Jacobian
+with a sparse LU, run under the same step controller as the Krylov
+integrator (integrate.control).  It is equivalent to a Krylov step with
+M = N but builds no basis.  Cross-validation uses classical fixed-step
+RK4 with step halving, which shares no code with the Rosenbrock path.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ import struct
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
-from .errors import NonFiniteError, StepSizeUnderflowError
+from .integrate import IntegratorConfig, control
+from .step import direct_step
 from .tableau import Tableau
 
 MAGIC = b"ROKREF1"
@@ -58,65 +58,16 @@ def rk4_integrate(problem, t0: float, tf: float, y0: np.ndarray, n_steps: int) -
     return y
 
 
-def _full_space_step(problem, y, h, tab: Tableau):
-    """One classical Rosenbrock step with a direct stage-system solve."""
-    n = problem.dim
-    if problem.has_sparse_jacobian and n > 64:
-        jac = problem.sparse_jacobian(y)
-        lhs = scipy.sparse.identity(n, format="csc") - h * tab.gamma * jac
-        solver = scipy.sparse.linalg.splu(lhs.tocsc())
-        solve = solver.solve
-        jmul = jac.dot
-    else:
-        jac = problem.jacobian(y)
-        lu = scipy.linalg.lu_factor(np.eye(n) - h * tab.gamma * jac)
-        solve = lambda b: scipy.linalg.lu_solve(lu, b)
-        jmul = jac.dot
-    ks = []
-    f_prev = None
-    for i in range(tab.s):
-        if i > 0 and np.array_equal(tab.alpha[i], tab.alpha[i - 1]):
-            f_i = f_prev
-        else:
-            f_i = problem.f(y + sum(tab.alpha[i, j] * ks[j] for j in range(i)))
-        f_prev = f_i
-        acc = sum((tab.gamma_lower[i, j] * ks[j] for j in range(i)), np.zeros(n))
-        ks.append(solve(h * f_i + h * jmul(acc)))
-    y_new = y + sum(tab.b[i] * ks[i] for i in range(tab.s))
-    y_emb = y + sum(tab.b_hat[i] * ks[i] for i in range(tab.s))
-    return y_new, y_emb
-
-
 def full_space_integrate(problem, t0: float, tf: float, y0: np.ndarray, tab: Tableau,
                          rtol: float = 1e-12, atol: float = 1e-12,
                          h_init: float = 1e-4, h_min: float = 1e-14) -> np.ndarray:
     """Adaptive classical Rosenbrock integration with exact-Jacobian stages."""
-    y = np.asarray(y0, dtype=float).copy()
-    t = t0
-    h = min(h_init, tf - t0)
-    exponent = -1.0 / (min(tab.order, tab.embedded_order) + 1)
-    t_edge = 1e-14 * max(1.0, abs(tf))
-    while tf - t > t_edge:
-        clipped = False
-        if t + h >= tf:
-            h = tf - t
-            clipped = True
-        try:
-            y_new, y_emb = _full_space_step(problem, y, h, tab)
-            if not np.all(np.isfinite(y_new)):
-                raise NonFiniteError("non-finite reference state")
-            w = (y_new - y_emb) / (atol + rtol * np.abs(y_new))
-            err = float(np.sqrt(np.mean(w * w)))
-        except (NonFiniteError, RuntimeError):
-            err = np.inf
-        if err <= 1.0:
-            y = y_new
-            t = tf if clipped else t + h
-        factor = 0.5 if np.isinf(err) else (0.9 * err**exponent if err > 0.0 else 5.0)
-        h *= min(5.0, max(0.2, factor))
-        if h < h_min:
-            raise StepSizeUnderflowError(f"reference integration stalled at t={t:.6g}", t=t)
-    return y
+    config = IntegratorConfig(rtol=rtol, atol=atol, h_init=h_init, h_min=h_min)
+
+    def step(y, f0, h, retry):
+        return direct_step(problem, y, f0, h, tab, problem.sparse_jacobian(y))
+
+    return control(problem, t0, tf, y0, tab, config, step).y
 
 
 def compute_reference(problem, t0: float, tf: float, y0: np.ndarray, tab: Tableau,

@@ -22,7 +22,7 @@ import numpy as np
 from . import arnoldi as _arnoldi
 from .linalg import spectral_radius
 from .problems import make_linear
-from .step import rok_step
+from .step import direct_step, rok_step
 from .tableau import Tableau
 
 #: Dense block assembly guard: refuse N*s beyond this.
@@ -81,31 +81,23 @@ def transfer_matrix_empirical(jac: np.ndarray, approx, tableau: Tableau, h: floa
     """Transfer matrix column-by-column from one-step runs on y' = J y.
 
     approx may be a KrylovBasis (columns come from rok_step with that
-    basis) or a dense matrix A (columns come from the A-substituted stage
-    recursion solved directly).
+    basis) or a dense matrix A (columns come from direct_step with stage
+    matrix A).
     """
     n = jac.shape[0]
-    cols = np.empty((n, n))
+    problem = make_linear(jac)
     if isinstance(approx, _arnoldi.KrylovBasis):
-        problem = make_linear(jac)
-        for j in range(n):
-            y = np.eye(n)[:, j]
-            cols[:, j] = rok_step(problem, y, h, tableau, approx, f0=jac @ y).y_new
-        return cols
+        def step(y):
+            return rok_step(problem, y, h, tableau, approx, f0=jac @ y)
+    else:
+        a = np.asarray(approx, dtype=float)
+        _check_sizes(jac, a, tableau)
 
-    a = np.asarray(approx, dtype=float)
-    _check_sizes(jac, a, tableau)
-    ident = np.eye(n)
-    lhs = ident - h * tableau.gamma * a
+        def step(y):
+            return direct_step(problem, y, jac @ y, h, tableau, a)
+    cols = np.empty((n, n))
     for j in range(n):
-        y = ident[:, j]
-        ks = []
-        for i in range(tableau.s):
-            yi = y + sum(tableau.alpha[i, jj] * ks[jj] for jj in range(i))
-            rhs = h * (jac @ yi) + h * (a @ sum(
-                (tableau.gamma_lower[i, jj] * ks[jj] for jj in range(i)), np.zeros(n)))
-            ks.append(np.linalg.solve(lhs, rhs))
-        cols[:, j] = y + sum(tableau.b[i] * ks[i] for i in range(tableau.s))
+        cols[:, j] = step(np.eye(n)[:, j]).y_new
     return cols
 
 

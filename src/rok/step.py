@@ -1,18 +1,24 @@
-"""Single Rosenbrock-Krylov step and stage-residual diagnostics.
+"""Single Rosenbrock steps and stage-residual diagnostics.
 
-One step solves, for each stage i in the reduced space of a Krylov basis
-(V, H):
+Every step runs the same stage loop (run_stages): F_i = f(y + sum_j
+alpha_ij k_j), then a stage solver turns F_i into k_i, and y_new =
+y + sum b_i k_i with the embedded y_embedded from b_hat.  Two solvers
+plug into it.
 
-    F_i      = f(y + sum_j alpha_ij k_j)
+rok_step solves each stage in the reduced space of a Krylov basis (V, H):
+
     psi_i    = V^T F_i
     (I - h*gamma*H) lambda_i = h psi_i + h H sum_{j<i} gamma_ij lambda_j
     k_i      = V lambda_i + h (F_i - V psi_i)
 
-and combines y_new = y + sum b_i k_i with the embedded y_embedded from
-b_hat.  With the extension variant, the basis is extended with F_i before
+With the extension variant, the basis is extended with F_i before
 stage i is solved, the reduced factorization grows by a column append,
 and earlier lambda_j are zero-padded; the correction term F_i - V psi_i
 then vanishes by construction.
+
+direct_step solves (I - h*gamma*A) k_i = h F_i + h A sum_{j<i} gamma_ij k_j
+with one sparse LU: the full-space step with A = J, and the step with any
+stage matrix A for the stability diagnostics.
 
 The residual of stage i is its defect in the full-space stage equation
 k_i = h F_i + h J sum_j gamma_ij k_j.  direct_stage_residual evaluates
@@ -26,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import arnoldi, linalg
 from .errors import NonFiniteError, SingularMatrixError
@@ -74,6 +82,31 @@ def _padded(vec: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def run_stages(problem, y: np.ndarray, tab: Tableau, f1: np.ndarray, solve_stage):
+    """The Rosenbrock stage recursion shared by every step.
+
+    Stage i evaluates F_i = f(y + sum_{j<i} alpha_ij k_j), with F_1 = f1
+    given and F reused when an alpha row repeats the previous one, and
+    solve_stage(i, F_i, ks) returns k_i from F_i and the earlier stages ks.
+    Returns (y + sum b_i k_i, y + sum b_hat_i k_i, ks).  Raises
+    NonFiniteError if a stage RHS or either result is not finite.
+    """
+    ks: list[np.ndarray] = []
+    f_i = f1
+    for i in range(tab.s):
+        if i > 0 and not np.array_equal(tab.alpha[i], tab.alpha[i - 1]):
+            f_i = problem.f(y + sum(tab.alpha[i, j] * ks[j] for j in range(i)))
+            if not np.all(np.isfinite(f_i)):
+                raise NonFiniteError(f"stage {i + 1} RHS is not finite")
+        ks.append(solve_stage(i, f_i, ks))
+
+    y_new = y + sum(tab.b[i] * ks[i] for i in range(tab.s))
+    y_embedded = y + sum(tab.b_hat[i] * ks[i] for i in range(tab.s))
+    if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(y_embedded))):
+        raise NonFiniteError("step produced a non-finite state")
+    return y_new, y_embedded, ks
+
+
 def rok_step(
     problem,
     y: np.ndarray,
@@ -100,23 +133,10 @@ def rok_step(
     internals = StepInternals(y=y, h=h, tableau=tab, basis=basis, extended=extend)
 
     fac = linalg.lu_factor(basis.h, h * tab.gamma)
-    v = basis.v
-    ks: list[np.ndarray] = []
     lambdas: list[np.ndarray] = []
-    f_prev = None
 
-    for i in range(tab.s):
-        if i == 0:
-            f_i = basis.start_vector if f0 is None else np.asarray(f0, dtype=float)
-        elif i > 0 and np.array_equal(tab.alpha[i], tab.alpha[i - 1]):
-            f_i = f_prev  # identical stage argument: reuse the evaluation
-        else:
-            yi = y + sum(tab.alpha[i, j] * ks[j] for j in range(i))
-            f_i = problem.f(yi)
-            if not np.all(np.isfinite(f_i)):
-                raise NonFiniteError(f"stage {i + 1} RHS is not finite")
-        f_prev = f_i
-
+    def solve_stage(i, f_i, ks):
+        nonlocal basis, fac
         if extend and i > 0:
             grown = arnoldi.extend(basis, problem, y, f_i)
             if grown.size > basis.size:
@@ -128,30 +148,27 @@ def rok_step(
                     fac = linalg.lu_factor(grown.h, h * tab.gamma)
                     stats.refactorized = True
                 basis = grown
-                v = basis.v
                 stats.extensions += 1
 
         m = basis.size
+        v = basis.v
         psi = v.T @ f_i
         acc = np.zeros(m)
         for j in range(i):
             acc += gamma_full[i, j] * _padded(lambdas[j], m)
         lam = linalg.lu_solve(fac, h * psi + h * (basis.h @ acc))
-        k_i = v @ lam + h * (f_i - v @ psi)
 
         lambdas.append(lam)
-        ks.append(k_i)
         if keep_internals:
             internals.stage_dims.append(m)
             internals.f_stages.append(f_i)
             internals.psi_stages.append(psi)
         if i == 0:
             stats.first_stage_residual = arnoldi.first_stage_residual_norm(h, tab.gamma, basis, lam)
+        return v @ lam + h * (f_i - v @ psi)
 
-    y_new = y + sum(tab.b[i] * ks[i] for i in range(tab.s))
-    y_embedded = y + sum(tab.b_hat[i] * ks[i] for i in range(tab.s))
-    if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(y_embedded))):
-        raise NonFiniteError("step produced a non-finite state")
+    f1 = basis.start_vector if f0 is None else np.asarray(f0, dtype=float)
+    y_new, y_embedded, ks = run_stages(problem, y, tab, f1, solve_stage)
 
     stats.basis_total = basis.size
     if keep_internals:
@@ -164,6 +181,31 @@ def rok_step(
         stats=stats,
         internals=internals if keep_internals else None,
     )
+
+
+def direct_step(problem, y: np.ndarray, f0: np.ndarray, h: float, tableau: Tableau,
+                a) -> StepResult:
+    """One Rosenbrock step whose stage systems use the matrix a in place of J.
+
+    Stage i solves (I - h*gamma*a) k_i = h F_i + h a sum_{j<i} gamma_ij k_j
+    with one sparse LU of I - h*gamma*a; f0 is f(y).  With a = J(y) this
+    is the classical full-space step.  Raises SingularMatrixError if
+    I - h*gamma*a is singular.
+    """
+    a = sp.csc_matrix(a)
+    n = a.shape[0]
+    try:
+        lu = spla.splu(sp.identity(n, format="csc") - h * tableau.gamma * a)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SingularMatrixError(f"I - h*gamma*A cannot be factored: {exc}") from exc
+
+    def solve_stage(i, f_i, ks):
+        acc = sum((tableau.gamma_lower[i, j] * ks[j] for j in range(i)), np.zeros(n))
+        return lu.solve(h * f_i + h * a.dot(acc))
+
+    y_new, y_embedded, _ = run_stages(problem, y, tableau, f0, solve_stage)
+    return StepResult(y_new=y_new, y_embedded=y_embedded,
+                      stats=StepStats(basis_core=n, basis_total=n))
 
 
 def direct_stage_residual(problem, internals: StepInternals, i: int) -> np.ndarray:

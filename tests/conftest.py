@@ -46,5 +46,6 @@ def make_poisoned_problem(name: str = "poisoned") -> OdeProblem:
             return -y
         return np.full(2, np.nan)
 
-    return OdeProblem(dim=2, rhs=rhs, jvp=lambda y, v: -v, name=name,
+    return OdeProblem(dim=2, rhs=rhs, jvp=lambda y, v: -v,
+                      dense_jacobian=lambda y: -np.eye(2), name=name,
                       y0=y0, t_span=(0.0, 1.0))

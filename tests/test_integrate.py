@@ -1,9 +1,13 @@
 """Adaptive driver: accuracy, controller behavior, failure modes."""
 
+import importlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from rok.errors import NonFiniteError, StepSizeUnderflowError
+from rok import arnoldi, linalg
+from rok.errors import NonFiniteError, SingularMatrixError, StepSizeUnderflowError
 from rok.integrate import (
     AdaptiveResidual,
     AdaptiveResidualMatchTol,
@@ -12,10 +16,11 @@ from rok.integrate import (
     integrate,
     integrate_fixed,
 )
-from rok.problems import OdeProblem, make_dahlquist, make_smooth_nonlinear
-from rok.reference import rk4_integrate
+from rok.problems import OdeProblem, make_dahlquist, make_linear, make_smooth_nonlinear
+from rok.reference import full_space_integrate, rk4_integrate
+from rok.step import direct_step
 
-from conftest import make_random_nonlinear
+from conftest import make_poisoned_problem, make_random_nonlinear
 
 
 def test_dahlquist_accuracy():
@@ -154,3 +159,54 @@ def test_non_finite_rhs_names_the_rhs_not_the_jvp(tab, run):
             integrate_fixed(prob, 0.5, 1.0, prob.y0, tab, 4)
         else:
             integrate(prob, 0.5, 1.0, prob.y0, tab, IntegratorConfig(basis_strategy=strategy))
+
+
+def test_full_space_treats_a_non_finite_stage_as_a_rejection(tab):
+    # Both drivers run the same stage loop and controller: a NaN stage RHS
+    # shrinks h until it underflows, in the full-space mode as in the Krylov one.
+    prob = make_poisoned_problem()
+    cfg = IntegratorConfig(rtol=1e-6, atol=1e-6, basis_strategy=FixedBasis(2),
+                           h_init=1e-3, h_min=1e-9)
+    with pytest.raises(StepSizeUnderflowError) as krylov:
+        integrate(prob, 0.0, 1.0, prob.y0, tab, cfg)
+    with pytest.raises(StepSizeUnderflowError) as full:
+        full_space_integrate(prob, 0.0, 1.0, prob.y0, tab, rtol=1e-6, atol=1e-6,
+                             h_init=1e-3, h_min=1e-9)
+    assert krylov.value.t == full.value.t == 0.0
+
+
+def test_direct_step_reports_a_singular_stage_matrix(tab):
+    h = 0.5
+    c = 1.0 / (h * tab.gamma)
+    assert h * tab.gamma * c == 1.0  # so I - h*gamma*a has an exact zero row
+    a = np.diag([c, -1.0])
+    prob = make_linear(a)
+    with pytest.raises(SingularMatrixError):
+        direct_step(prob, prob.y0, prob.f(prob.y0), h, tab, a)
+
+
+def test_benchmark_hook_points_see_every_step(tab, monkeypatch):
+    # perfbench/spans.py traces a run by replacing these module attributes;
+    # the driver must call through them on every attempt.
+    calls = Counter()
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(importlib.import_module("rok.integrate"), "rok_step")  # rok.integrate is the function
+    counting(arnoldi, "build_adaptive")
+    counting(linalg, "lu_factor")
+    prob = make_random_nonlinear(30, np.random.default_rng(50), stiffness=6.0)
+    cfg = IntegratorConfig(rtol=1e-6, atol=1e-6, basis_strategy=AdaptiveResidualMatchTol(),
+                           h_init=0.5)
+    stats = integrate(prob, 0.0, 1.0, prob.y0, tab, cfg).stats
+    assert stats.rejected > 0
+    assert calls["rok_step"] == stats.accepted + stats.rejected
+    assert calls["build_adaptive"] >= stats.accepted
+    assert calls["lu_factor"] >= calls["rok_step"]
