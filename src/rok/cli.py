@@ -135,6 +135,16 @@ def load_config(path) -> configparser.ConfigParser:
     return cp
 
 
+def _seeded_config(args) -> configparser.ConfigParser:
+    """The config with --seed, when given, forwarded to the [problem] factory.
+
+    A problem whose factory takes no seed then fails with a ConfigError."""
+    cp = load_config(args.config)
+    if args.seed is not None:
+        cp.set("problem", "seed", str(args.seed))
+    return cp
+
+
 def _problem_from_config(cp):
     section = dict(cp["problem"])
     name = section.pop("name", None)
@@ -184,7 +194,7 @@ def _fmt(x) -> str:
 
 
 def cmd_run(args) -> int:
-    cp = load_config(args.config)
+    cp = _seeded_config(args)
     problem = _problem_from_config(cp)
     tab = _tableau_from_config(cp)
     cfg = _integrator_config(cp)
@@ -254,7 +264,11 @@ def _sweep_reference(cp, tab):
             raise ConfigError(f"reference file {ref_path} does not exist")
         y_ref, _ = reference.read_reference(ref_path)
         return y_ref
-    problem = _problem_from_config(cp)
+    return _compute_reference(cp, _problem_from_config(cp), tab)
+
+
+def _compute_reference(cp, problem, tab):
+    """compute_reference with the [reference] settings, over the problem's t_span."""
     sec = cp["reference"]
     t0, tf = problem.t_span
     return reference.compute_reference(
@@ -265,13 +279,15 @@ def _sweep_reference(cp, tab):
 
 
 def cmd_sweep(args) -> int:
-    cp = load_config(args.config)
+    cp = _seeded_config(args)
     tab = _tableau_from_config(cp)
     strategies = [s.strip() for s in cp.get("sweep", "strategies").split(",") if s.strip()]
     tolerances = [float(t) for t in cp.get("sweep", "tolerances").split(",") if t.strip()]
     timing = cp.get("sweep", "timing", fallback="on").lower() not in ("off", "false", "0", "none")
     try:
         y_ref = _sweep_reference(cp, tab)
+    except ConfigError:  # a ValueError too, but a config fault: exit 2 in main
+        raise
     except ValueError as exc:
         print(f"reference computation failed: {exc}", file=sys.stderr)
         return 1
@@ -291,26 +307,21 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reference(args) -> int:
-    cp = load_config(args.config)
+    cp = _seeded_config(args)
     problem = _problem_from_config(cp)
     tab = _tableau_from_config(cp)
-    sec = cp["reference"]
-    t0, tf = problem.t_span
     try:
-        y_ref = reference.compute_reference(
-            problem, t0, tf, problem.y0, tab,
-            rtol=sec.getfloat("rtol"), atol=sec.getfloat("atol"),
-            rk4_steps=sec.getint("rk4_steps"), cross_tol=sec.getfloat("cross_tol"),
-        )
+        y_ref = _compute_reference(cp, problem, tab)
     except ValueError as exc:
         print(f"reference computation failed: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out) if args.out else Path("reference.bin")
+    sec = cp["reference"]
     reference.write_reference(out, y_ref, {
         "problem": problem.name,
         "rtol": sec.getfloat("rtol"),
         "atol": sec.getfloat("atol"),
-        "t_span": [t0, tf],
+        "t_span": list(problem.t_span),
     })
     print(f"wrote reference for {problem.name} to {out}")
     return 0

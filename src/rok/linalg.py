@@ -2,8 +2,10 @@
 
 The stage systems of the integrator have the form (I - hg*H) x = rhs with H
 a small upper-Hessenberg matrix.  This module provides an LU factorization
-by LAPACK, an O(M^2) column-append update used when the Krylov basis grows
-mid-step, and a spectral-radius helper for the stability diagnostics.
+kept in LAPACK getrf's packed form (one array and the pivot indices), solves
+by laswp and two trtrs calls on it, an O(M^2) bordered column-append update
+of the same packed form used when the Krylov basis grows mid-step, and a
+spectral-radius helper for the stability diagnostics.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from .errors import DimensionMismatchError, NoConvergenceError, SingularMatrixError
 
@@ -21,24 +23,25 @@ PIVOT_REL_TOL = 1e-14
 
 @dataclass(frozen=True)
 class HessenbergFactorization:
-    """P(I - hg*H) = L U for upper-Hessenberg H.
+    """P(I - hg*H) = L U for upper-Hessenberg H, in LAPACK getrf's packed form.
 
-    perm encodes P as a row-index array: (P A)[i] = A[perm[i]].  L is unit
-    lower triangular; with adjacent-row pivoting it stays cheap to apply.
-    hg is the scalar product (step size times diagonal gamma) frozen at
-    factorization time; scale is the max-abs of I - hg*H used for the
-    pivot threshold of subsequent column appends.
+    lu holds U on and above the diagonal and the multipliers of the unit
+    lower triangular L below it; it is stored C-contiguous so that lu.T
+    reaches the triangular solves without a copy.  piv holds getrf's
+    0-based row interchanges: row k was swapped with row piv[k], in order
+    k = 0, 1, ...  hg is the scalar product (step size times diagonal
+    gamma) frozen at factorization time; scale is the max-abs of I - hg*H
+    used for the pivot threshold of subsequent column appends.
     """
 
-    perm: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    lu: np.ndarray
+    piv: np.ndarray
     hg: float
     scale: float
 
     @property
     def size(self) -> int:
-        return self.upper.shape[0]
+        return self.lu.shape[0]
 
 
 def _pivot_threshold(scale: float) -> float:
@@ -56,11 +59,8 @@ def lu_factor(hess: np.ndarray, hg: float) -> HessenbergFactorization:
     """
     hess = np.asarray(hess, dtype=float)
     m = hess.shape[0]
-    if hess.shape != (m, m):
-        raise DimensionMismatchError(f"H must be square, got {hess.shape}")
-    if m == 0:  # getrf rejects an empty matrix
-        return HessenbergFactorization(perm=np.arange(0), lower=np.eye(0), upper=np.eye(0),
-                                       hg=hg, scale=0.0)
+    if hess.shape != (m, m) or m == 0:
+        raise DimensionMismatchError(f"H must be square and nonempty, got {hess.shape}")
     a = hess * -hg
     a.flat[:: m + 1] += 1.0
     scale = float(np.max(np.abs(a)))
@@ -70,14 +70,19 @@ def lu_factor(hess: np.ndarray, hg: float) -> HessenbergFactorization:
     if pivots.min() <= thresh:
         k = int(np.argmax(pivots <= thresh))
         raise SingularMatrixError(f"pivot {lu[k, k]:.3e} below threshold at column {k}")
-    perm = list(range(m))
-    for k, p in enumerate(piv.tolist()):  # getrf's row interchanges, in order
-        perm[k], perm[p] = perm[p], perm[k]
-    upper = np.triu(lu)
-    lower = lu - upper  # exact: the strictly lower part, zero elsewhere
-    lower.flat[:: m + 1] = 1.0
-    return HessenbergFactorization(perm=np.array(perm, dtype=int), lower=lower, upper=upper,
-                                   hg=hg, scale=scale)
+    return HessenbergFactorization(lu=np.ascontiguousarray(lu), piv=piv, hg=hg, scale=scale)
+
+
+def _forward(fac: HessenbergFactorization, b: np.ndarray) -> np.ndarray:
+    """L^{-1} P b.
+
+    Every triangular solve here hands trtrs lu.T (Fortran-ordered, so no
+    copy), with trans=1 for L and U.  getrs on the same factor rounds most
+    solves differently in the last bit, which is enough to move step-size
+    sequences.
+    """
+    pb = lapack.dlaswp(b, fac.piv)
+    return lapack.dtrtrs(fac.lu.T, pb, lower=0, trans=1, unitdiag=1)[0]
 
 
 def lu_solve(fac: HessenbergFactorization, rhs: np.ndarray) -> np.ndarray:
@@ -86,10 +91,7 @@ def lu_solve(fac: HessenbergFactorization, rhs: np.ndarray) -> np.ndarray:
     m = fac.size
     if rhs.shape != (m,):
         raise DimensionMismatchError(f"rhs has shape {rhs.shape}, expected ({m},)")
-    if m == 0:
-        return rhs.copy()
-    y = solve_triangular(fac.lower, rhs[fac.perm], lower=True, unit_diagonal=True)
-    return solve_triangular(fac.upper, y, lower=False)
+    return lapack.dtrtrs(fac.lu.T, _forward(fac, rhs), lower=1, trans=1)[0]
 
 
 def lu_append_column(
@@ -109,40 +111,35 @@ def lu_append_column(
         l_{M+1,1..M}^T = (-hg * h_{M+1,1..M})^T U^{-1},
         u_{M+1,M+1}  = (1 - hg * h_{M+1,M+1}) - l_{M+1,1..M} . u_{1..M,M+1}.
 
-    The only new pivot is the bottom diagonal entry.  Raises
-    SingularMatrixError when it is below the threshold, in which case the
-    caller should refactorize fully.
+    The only new pivot is the bottom diagonal entry, and the new row is
+    not interchanged (piv gains the entry M).  Raises SingularMatrixError
+    when that pivot is below the threshold, in which case the caller
+    should refactorize fully.
     """
     new_column_top = np.asarray(new_column_top, dtype=float)
     m = fac.size
     if new_column_top.shape != (m,):
         raise DimensionMismatchError(f"column has shape {new_column_top.shape}, expected ({m},)")
     a_col = -fac.hg * new_column_top
-    if m:
-        u_col = solve_triangular(fac.lower, a_col[fac.perm], lower=True, unit_diagonal=True)
-    else:
-        u_col = a_col
-    if new_row_left is not None and m:
+    u_col = _forward(fac, a_col)
+    if new_row_left is not None:
         new_row_left = np.asarray(new_row_left, dtype=float)
         if new_row_left.shape != (m,):
             raise DimensionMismatchError(f"row has shape {new_row_left.shape}, expected ({m},)")
-        l_row = solve_triangular(fac.upper, -fac.hg * new_row_left, lower=False, trans="T")
+        l_row = lapack.dtrtrs(fac.lu.T, -fac.hg * new_row_left, lower=1)[0]
     else:
         l_row = np.zeros(m)
     diag = (1.0 - fac.hg * h_diag_new) - float(l_row @ u_col)
-    scale = max(fac.scale, float(np.max(np.abs(a_col))) if m else 0.0, abs(diag))
+    scale = max(fac.scale, float(np.max(np.abs(a_col))), abs(diag))
     if abs(diag) <= _pivot_threshold(scale):
         raise SingularMatrixError(f"appended pivot {diag:.3e} below threshold")
 
-    upper = np.zeros((m + 1, m + 1))
-    upper[:m, :m] = fac.upper
-    upper[:m, m] = u_col
-    upper[m, m] = diag
-    lower = np.eye(m + 1)
-    lower[:m, :m] = fac.lower
-    lower[m, :m] = l_row
-    perm = np.append(fac.perm, m)
-    return HessenbergFactorization(perm=perm, lower=lower, upper=upper, hg=fac.hg, scale=scale)
+    lu = np.empty((m + 1, m + 1))
+    lu[:m, :m] = fac.lu
+    lu[:m, m] = u_col
+    lu[m, :m] = l_row
+    lu[m, m] = diag
+    return HessenbergFactorization(lu=lu, piv=np.append(fac.piv, m), hg=fac.hg, scale=scale)
 
 
 def spectral_radius(a: np.ndarray) -> float:

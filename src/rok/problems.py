@@ -52,14 +52,6 @@ class OdeProblem:
             raise JvpFailureError("jvp returned non-finite values")
         return out
 
-    @property
-    def has_dense_jacobian(self):
-        return self._dense_jacobian is not None
-
-    @property
-    def has_sparse_jacobian(self):
-        return self._sparse_jacobian is not None
-
     def jacobian(self, y):
         if self._dense_jacobian is None:
             raise ValueError(f"problem {self.name!r} has no dense Jacobian")

@@ -71,8 +71,7 @@ def full_space_integrate(problem, t0: float, tf: float, y0: np.ndarray, tab: Tab
 
 
 def compute_reference(problem, t0: float, tf: float, y0: np.ndarray, tab: Tableau,
-                      rtol: float = 1e-12, atol: float = 1e-12,
-                      cross_validate: bool = True, rk4_steps: int = 20000,
+                      rtol: float = 1e-12, atol: float = 1e-12, rk4_steps: int = 20000,
                       cross_tol: float = 1e-9) -> np.ndarray:
     """Full-space reference, cross-validated against step-halving RK4.
 
@@ -80,15 +79,14 @@ def compute_reference(problem, t0: float, tf: float, y0: np.ndarray, tab: Tablea
     disagrees with the reference beyond cross_tol (relative L2).
     """
     y_ref = full_space_integrate(problem, t0, tf, y0, tab, rtol=rtol, atol=atol)
-    if cross_validate:
-        scale = np.linalg.norm(y_ref)
-        coarse = rk4_integrate(problem, t0, tf, y0, rk4_steps)
-        fine = rk4_integrate(problem, t0, tf, y0, 2 * rk4_steps)
-        self_err = np.linalg.norm(fine - coarse) / max(scale, 1e-300)
-        ref_err = np.linalg.norm(fine - y_ref) / max(scale, 1e-300)
-        if self_err > cross_tol or ref_err > cross_tol:
-            raise ValueError(
-                f"reference cross-validation failed: rk4 self-error {self_err:.3e}, "
-                f"reference mismatch {ref_err:.3e}, tolerance {cross_tol:.1e}"
-            )
+    scale = np.linalg.norm(y_ref)
+    coarse = rk4_integrate(problem, t0, tf, y0, rk4_steps)
+    fine = rk4_integrate(problem, t0, tf, y0, 2 * rk4_steps)
+    self_err = np.linalg.norm(fine - coarse) / max(scale, 1e-300)
+    ref_err = np.linalg.norm(fine - y_ref) / max(scale, 1e-300)
+    if self_err > cross_tol or ref_err > cross_tol:
+        raise ValueError(
+            f"reference cross-validation failed: rk4 self-error {self_err:.3e}, "
+            f"reference mismatch {ref_err:.3e}, tolerance {cross_tol:.1e}"
+        )
     return y_ref

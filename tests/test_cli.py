@@ -185,6 +185,12 @@ def test_sweep_uses_stored_reference(tmp_path):
         assert len(list(csv.DictReader(fh))) == 4
 
 
+def test_sweep_with_missing_reference_file_is_a_config_error(tmp_path, capsys):
+    cfg = SMALL_SWEEP.replace("[sweep]", f"[sweep]\nreference = {tmp_path / 'nope.bin'}")
+    assert cli.main(["--config", str(write(tmp_path, cfg)), "sweep"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_sweep_records_failures_without_error_values(tmp_path):
     register_problem("cli-sweep-poisoned", lambda: make_poisoned_problem("cli-sweep-poisoned"))
     cp = cli.load_config(None)
@@ -262,6 +268,59 @@ h_high = 1e-1
     assert cli.main(["--config", str(p), "--out", str(c), "--seed", "4", "stability"]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
+
+
+LINEAR_RANDOM_RUN = """\
+[problem]
+name = linear-random
+n = 6
+seed = 0
+
+[integrator]
+rtol = 1e-6
+atol = 1e-6
+strategy = M=3
+h_init = 1e-3
+
+[sweep]
+strategies = M=3
+tolerances = 1e-4
+timing = off
+
+[reference]
+rtol = 1e-10
+atol = 1e-10
+rk4_steps = 4000
+cross_tol = 1e-7
+"""
+
+
+def test_seed_flag_reaches_the_problem(tmp_path, capsys):
+    p = write(tmp_path, LINEAR_RANDOM_RUN)
+    norms, errors, refs = [], [], []
+    for seed in ("1", "2"):
+        assert cli.main(["--config", str(p), "--seed", seed, "run"]) == 0
+        out = capsys.readouterr().out
+        norms.append([ln for ln in out.splitlines() if "final_state_norm" in ln][0])
+        csv_path, ref_path = tmp_path / f"s{seed}.csv", tmp_path / f"r{seed}.bin"
+        assert cli.main(["--config", str(p), "--out", str(csv_path), "--seed", seed, "sweep"]) == 0
+        with csv_path.open() as fh:
+            errors.append(next(csv.DictReader(fh))["error"])
+        assert cli.main(["--config", str(p), "--out", str(ref_path), "--seed", seed,
+                         "reference"]) == 0
+        refs.append(read_reference(ref_path))
+    assert norms[0] != norms[1]
+    assert errors[0] != errors[1]
+    assert not np.array_equal(refs[0][0], refs[1][0])
+    assert refs[0][1]["problem"] == "linear-random-6-s1"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "reference"])
+def test_seed_flag_on_a_problem_without_seed_is_a_config_error(tmp_path, capsys, command):
+    p = write(tmp_path, SMALL_SWEEP)
+    assert cli.main(["--config", str(p), "--out", str(tmp_path / "o"), "--seed", "1",
+                     command]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_fmt_uses_shortest_round_trip():

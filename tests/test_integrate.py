@@ -200,13 +200,31 @@ def test_benchmark_hook_points_see_every_step(tab, monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counting(importlib.import_module("rok.integrate"), "rok_step")  # rok.integrate is the function
-    counting(arnoldi, "build_adaptive")
-    counting(linalg, "lu_factor")
+    for name in ("build_adaptive", "build_fixed", "extend"):
+        counting(arnoldi, name)
+    for name in ("lu_factor", "lu_solve", "lu_append_column"):
+        counting(linalg, name)
     prob = make_random_nonlinear(30, np.random.default_rng(50), stiffness=6.0)
-    cfg = IntegratorConfig(rtol=1e-6, atol=1e-6, basis_strategy=AdaptiveResidualMatchTol(),
-                           h_init=0.5)
-    stats = integrate(prob, 0.0, 1.0, prob.y0, tab, cfg).stats
-    assert stats.rejected > 0
-    assert calls["rok_step"] == stats.accepted + stats.rejected
-    assert calls["build_adaptive"] >= stats.accepted
-    assert calls["lu_factor"] >= calls["rok_step"]
+    for strategy, extend in [(AdaptiveResidualMatchTol(), False),  # R=tol
+                             (AdaptiveResidualMatchTol(), True),  # R=tol+ext
+                             (FixedBasis(4), False)]:  # M=4
+        calls.clear()
+        cfg = IntegratorConfig(rtol=1e-6, atol=1e-6, basis_strategy=strategy,
+                               extend_with_stage_rhs=extend, h_init=0.5)
+        stats = integrate(prob, 0.0, 1.0, prob.y0, tab, cfg).stats
+        attempts = stats.accepted + stats.rejected
+        assert stats.rejected > 0
+        assert calls["rok_step"] == attempts
+        assert calls["lu_factor"] >= attempts
+        assert calls["lu_solve"] >= tab.s * attempts
+        if isinstance(strategy, FixedBasis):
+            assert calls["build_fixed"] == stats.accepted  # a retry keeps the basis
+            assert calls["build_adaptive"] == 0
+        else:
+            assert calls["build_adaptive"] == attempts  # a retry reruns the stopping test
+            assert calls["build_fixed"] == 0
+        if extend:
+            assert calls["extend"] == (tab.s - 1) * attempts
+            assert calls["lu_append_column"] >= stats.extensions > 0
+        else:
+            assert calls["extend"] == calls["lu_append_column"] == 0

@@ -35,11 +35,15 @@ def test_lu_factor_pivots_when_stiff():
         hg = float(rng.uniform(1.0, 10.0))
         a = np.eye(m) - hg * h
         fac = linalg.lu_factor(h, hg)
-        swapped += not np.array_equal(fac.perm, np.arange(m))
-        assert np.array_equal(fac.lower, np.tril(fac.lower))
-        assert np.all(np.diag(fac.lower) == 1.0)
-        assert np.array_equal(fac.upper, np.triu(fac.upper))
-        assert np.allclose(fac.lower @ fac.upper, a[fac.perm], rtol=0, atol=1e-12 * np.abs(a).max())
+        # Unpack getrf's packed form: L below the unit diagonal, U on and
+        # above it, and piv[k] the row swapped with row k, in order.
+        lower = np.tril(fac.lu, -1) + np.eye(m)
+        upper = np.triu(fac.lu)
+        perm = np.arange(m)
+        for k, p in enumerate(fac.piv):
+            perm[[k, p]] = perm[[p, k]]
+        swapped += not np.array_equal(perm, np.arange(m))
+        assert np.allclose(lower @ upper, a[perm], rtol=0, atol=1e-12 * np.abs(a).max())
         rhs = rng.standard_normal(m)
         x = linalg.lu_solve(fac, rhs)
         assert np.allclose(a @ x, rhs, rtol=0, atol=1e-10)
@@ -67,8 +71,9 @@ def test_lu_factor_rejects_singular():
 
 
 def test_lu_factor_rejects_nonsquare():
-    with pytest.raises(DimensionMismatchError):
-        linalg.lu_factor(np.zeros((3, 2)), 0.1)
+    for shape in [(3, 2), (0, 0)]:  # a basis always holds at least one vector
+        with pytest.raises(DimensionMismatchError):
+            linalg.lu_factor(np.zeros(shape), 0.1)
 
 
 def test_append_column_zero_row_matches_fresh_factorization():
