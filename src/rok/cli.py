@@ -213,6 +213,7 @@ def cmd_run(args) -> int:
     print(f"rhs/jvp evals      {s.rhs_evals}/{s.jvp_evals}")
     print(f"mean_basis         {s.mean_basis:.3f}")
     print(f"extensions         {s.extensions}")
+    print(f"hit_cap_steps      {s.hit_cap_steps}")
     return 0
 
 

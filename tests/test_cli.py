@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from rok import cli
-from rok.integrate import AdaptiveResidual, AdaptiveResidualMatchTol, FixedBasis
-from rok.problems import OdeProblem, register_problem
+from rok.integrate import (AdaptiveResidual, AdaptiveResidualMatchTol, FixedBasis,
+                           IntegratorConfig, integrate)
+from rok.problems import AllenCahnSpec, OdeProblem, make_allen_cahn, register_problem
 from rok.reference import read_reference
 from rok.tableau import default_tableau
 
@@ -109,6 +110,35 @@ def test_run_dahlquist(tmp_path, capsys):
     norm = float([ln for ln in out.splitlines() if "final_state_norm" in ln][0].split()[-1])
     assert abs(norm - np.exp(-1.0)) <= 1e-6
     assert "accepted/rejected" in out
+
+
+CAPPED_RUN = """\
+[problem]
+name = allen-cahn
+nx = 8
+ny = 8
+alpha = 1.0
+
+[integrator]
+rtol = 1e-4
+atol = 1e-4
+strategy = R=1e-10
+h_init = 1e-4
+h_max = 1.0
+m_max = 6
+"""
+
+
+def test_run_prints_hit_cap_steps(tmp_path, capsys):
+    assert cli.main(["--config", str(write(tmp_path, CAPPED_RUN)), "run"]) == 0
+    out = capsys.readouterr().out
+    printed = int([ln for ln in out.splitlines() if ln.startswith("hit_cap_steps")][0].split()[-1])
+    problem = make_allen_cahn(AllenCahnSpec(nx=8, ny=8, alpha=1.0))
+    config = IntegratorConfig(rtol=1e-4, atol=1e-4, basis_strategy=AdaptiveResidual(1e-10),
+                              h_init=1e-4, h_max=1.0, m_max=6)
+    stats = integrate(problem, 0.0, 0.2, problem.y0, default_tableau(), config).stats
+    assert printed == stats.hit_cap_steps
+    assert 0 < printed < stats.accepted
 
 
 def test_run_with_bad_tableau_path(tmp_path, capsys):

@@ -138,6 +138,27 @@ def test_integrate_fixed_full_space_convergence(tab):
     assert np.all(np.abs(orders - tab.order) <= 0.4)
 
 
+def test_krylov_regime_order_is_three(tab):
+    # With the basis smaller than the problem (M << N) the packaged
+    # classical tableau drops to order 3: it does not satisfy the
+    # Rosenbrock-Krylov order conditions at order 4.  Order 4 returns at
+    # M = N.  With the default stiffness 4 the order-4 error terms still
+    # dominate at these step sizes (M=4 local orders 3.7-3.9 up to 160
+    # steps, 3.2 only by 640), so a milder linear part is used.
+    prob = make_random_nonlinear(40, np.random.default_rng(0), stiffness=0.5)
+    t0, tf = prob.t_span
+    ref = rk4_integrate(prob, t0, tf, prob.y0, 20000)
+    steps = np.array([10, 20, 40, 80, 160])
+
+    def observed_order(m):
+        errs = [np.linalg.norm(integrate_fixed(prob, t0, tf, prob.y0, tab, int(n), m=m) - ref)
+                for n in steps]
+        return np.polyfit(np.log(1.0 / steps), np.log(errs), 1)[0]
+
+    assert abs(observed_order(4) - 3.0) <= 0.25
+    assert abs(observed_order(prob.dim) - tab.order) <= 0.25
+
+
 def test_rhs_and_jvp_counting(tab):
     prob = make_smooth_nonlinear()
     cfg = IntegratorConfig(rtol=1e-6, atol=1e-6, basis_strategy=FixedBasis(2))

@@ -38,6 +38,35 @@ def test_jvp_matches_finite_differences(factory):
         assert np.allclose(prob.jv(y, v), fd, rtol=1e-6, atol=1e-6)
 
 
+def stencil_laplacian(u, nx, ny):
+    """5-point Neumann Laplacian by mirror ghost cells, written as a stencil
+    on the (ny, nx) grid: the oracle for the assembled Kronecker matrix."""
+    hx, hy = 1.0 / nx, 1.0 / ny
+    g = u.reshape(ny, nx)
+    p = np.pad(g, 1, mode="edge")
+    out = (p[1:-1, :-2] - 2.0 * g + p[1:-1, 2:]) / hx**2
+    out += (p[:-2, 1:-1] - 2.0 * g + p[2:, 1:-1]) / hy**2
+    return out.reshape(-1)
+
+
+def test_allen_cahn_matches_stencil_oracle():
+    # A non-square grid with alpha, gamma_rc != 1 tells a swapped kronsum
+    # orientation or swapped hx/hy apart from the right Laplacian.
+    nx, ny, alpha, gam = 7, 5, 0.3, 2.0
+    prob = make_allen_cahn(AllenCahnSpec(nx=nx, ny=ny, alpha=alpha, gamma_rc=gam))
+    rng = np.random.default_rng(31)
+    u = prob.y0 + 0.1 * rng.standard_normal(prob.dim)
+    v = rng.standard_normal(prob.dim)
+
+    def close(a, b):
+        return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    assert close(prob.f(u), alpha * stencil_laplacian(u, nx, ny) + gam * (u - u**3))
+    assert close(prob.jv(u, v), alpha * stencil_laplacian(v, nx, ny) + gam * (1.0 - 3.0 * u**2) * v)
+    lap = np.column_stack([stencil_laplacian(e, nx, ny) for e in np.eye(prob.dim)])
+    assert close(prob.jacobian(u), alpha * lap + np.diag(gam * (1.0 - 3.0 * u**2)))
+
+
 def test_dense_jacobian_matches_jvp_columns():
     prob = make_allen_cahn(AllenCahnSpec(nx=5, ny=4, alpha=1.0))
     y = prob.y0
