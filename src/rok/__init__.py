@@ -12,7 +12,6 @@ the suite.
 from .arnoldi import KrylovBasis, build_adaptive, build_fixed, extend, first_stage_residual_norm
 from .errors import (
     JvpFailureError,
-    NoConvergenceError,
     NonFiniteError,
     SingularMatrixError,
     StepSizeUnderflowError,
@@ -28,7 +27,7 @@ from .integrate import (
     integrate_fixed,
 )
 from .problems import AllenCahnSpec, OdeProblem, get_problem, make_allen_cahn, make_linear, make_smooth_nonlinear
-from .step import StepResult, direct_stage_residual, rok_step, stage_residual_formula, stage_residual_formula_extended
+from .step import StepResult, rok_step, stage_residual_formula, stage_residual_formula_extended
 from .tableau import Tableau, default_tableau, load_tableau
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "IntegratorConfig",
     "JvpFailureError",
     "KrylovBasis",
-    "NoConvergenceError",
     "NonFiniteError",
     "OdeProblem",
     "SingularMatrixError",
@@ -51,7 +49,6 @@ __all__ = [
     "build_adaptive",
     "build_fixed",
     "default_tableau",
-    "direct_stage_residual",
     "extend",
     "first_stage_residual_norm",
     "get_problem",

@@ -16,7 +16,6 @@ import csv
 import io
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -96,16 +95,20 @@ def parse_strategy(label: str):
     try:
         if core.startswith("M="):
             strat = FixedBasis(int(core[2:]))
+            if strat.m < 1:
+                raise ValueError
         elif core == "R=tol":
             strat = AdaptiveResidualMatchTol()
         elif core.startswith("R="):
             strat = AdaptiveResidual(float(core[2:]))
+            if not 0.0 < strat.resid_tol < np.inf:
+                raise ValueError
         else:
             raise ValueError
     except ValueError:
         raise ConfigError(
-            f"cannot parse strategy {label!r} (expected M=<int>, R=<float>, or R=tol, "
-            "optionally suffixed +ext)"
+            f"cannot parse strategy {label!r} (expected M=<int >= 1>, R=<finite float > 0>, "
+            "or R=tol, optionally suffixed +ext)"
         ) from None
     return strat, extend
 
@@ -170,20 +173,23 @@ def _integrator_config(cp, rtol=None, atol=None, strategy_label=None) -> Integra
     sec = cp["integrator"]
     label = strategy_label if strategy_label is not None else sec.get("strategy", "M=4")
     strat, extend = parse_strategy(label)
-    cfg = IntegratorConfig(
-        rtol=rtol if rtol is not None else sec.getfloat("rtol"),
-        atol=atol if atol is not None else sec.getfloat("atol"),
-        basis_strategy=strat,
-        extend_with_stage_rhs=extend,
-        h_init=sec.getfloat("h_init"),
-        h_min=sec.getfloat("h_min"),
-        h_max=sec.getfloat("h_max"),
-        safety=sec.getfloat("safety"),
-        fac_min=sec.getfloat("fac_min"),
-        fac_max=sec.getfloat("fac_max"),
-        m_max=sec.getint("m_max"),
-    )
-    cfg.validate()
+    try:
+        cfg = IntegratorConfig(
+            rtol=rtol if rtol is not None else sec.getfloat("rtol"),
+            atol=atol if atol is not None else sec.getfloat("atol"),
+            basis_strategy=strat,
+            extend_with_stage_rhs=extend,
+            h_init=sec.getfloat("h_init"),
+            h_min=sec.getfloat("h_min"),
+            h_max=sec.getfloat("h_max"),
+            safety=sec.getfloat("safety"),
+            fac_min=sec.getfloat("fac_min"),
+            fac_max=sec.getfloat("fac_max"),
+            m_max=sec.getint("m_max"),
+        )
+        cfg.validate()
+    except ValueError as exc:
+        raise ConfigError(f"[integrator]: {exc}") from exc
     return cfg
 
 
@@ -217,16 +223,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-@dataclass
-class _SweepCell:
-    strategy_label: str
-    tol: float
-
-
-def _run_sweep_cell(cp, tab, cell: _SweepCell, y_ref, timing: bool):
+def _run_sweep_cell(cp, tab, strategy_label: str, tol: float, y_ref, timing: bool):
     problem = _problem_from_config(cp)
-    cfg = _integrator_config(cp, rtol=cell.tol, atol=cell.tol,
-                             strategy_label=cell.strategy_label)
+    cfg = _integrator_config(cp, rtol=tol, atol=tol, strategy_label=strategy_label)
     t0, tf = problem.t_span
     start = time.perf_counter()
     try:
@@ -238,8 +237,8 @@ def _run_sweep_cell(cp, tab, cell: _SweepCell, y_ref, timing: bool):
     wall = time.perf_counter() - start if timing else 0.0
     row = {
         "problem": problem.name,
-        "strategy": cell.strategy_label,
-        "tol": _fmt(cell.tol),
+        "strategy": strategy_label,
+        "tol": _fmt(tol),
         "wall_seconds": _fmt(wall),
         "converged": str(converged).lower(),
     }
@@ -293,7 +292,7 @@ def cmd_sweep(args) -> int:
         print(f"reference computation failed: {exc}", file=sys.stderr)
         return 1
 
-    rows = [_run_sweep_cell(cp, tab, _SweepCell(s, t), y_ref, timing)
+    rows = [_run_sweep_cell(cp, tab, s, t, y_ref, timing)
             for s in strategies for t in tolerances]
 
     buf = io.StringIO()

@@ -5,14 +5,6 @@ class SingularMatrixError(Exception):
     """A pivot fell below the scale-relative threshold during factorization."""
 
 
-class NoConvergenceError(Exception):
-    """Eigenvalue iteration failed; carries the best available estimate."""
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
-
-
 class ZeroStartVectorError(Exception):
     """The Arnoldi start vector has (numerically) zero norm."""
 

@@ -75,6 +75,8 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if not (0.0 < self.h_min <= self.h_init <= self.h_max):
             raise ValueError("need 0 < h_min <= h_init <= h_max")
+        if self.m_max < 1:
+            raise ValueError("m_max must be at least 1")
 
     def label(self) -> str:
         suffix = "+ext" if self.extend_with_stage_rhs else ""

@@ -76,7 +76,6 @@ def make_linear(jac: np.ndarray, name: str = "linear") -> OdeProblem:
         rhs=lambda y: jac @ y,
         jvp=lambda y, v: jac @ v,
         dense_jacobian=lambda y: jac,
-        sparse_jacobian=lambda y: sp.csc_matrix(jac),
         name=name,
         y0=np.ones(n),
         t_span=(0.0, 1.0),
@@ -194,16 +193,7 @@ def make_random_linear(n: int, seed: int, stiffness: float = 4.0) -> OdeProblem:
     """Seeded random stable linear system, used by the stability CLI."""
     rng = np.random.default_rng(seed)
     q = rng.standard_normal((n, n)) / np.sqrt(n)
-    jac = q - stiffness * np.eye(n)
-    return OdeProblem(
-        dim=n,
-        rhs=lambda y: jac @ y,
-        jvp=lambda y, v: jac @ v,
-        dense_jacobian=lambda y: jac,
-        name=f"linear-random-{n}-s{seed}",
-        y0=np.ones(n),
-        t_span=(0.0, 1.0),
-    )
+    return make_linear(q - stiffness * np.eye(n), name=f"linear-random-{n}-s{seed}")
 
 
 # Problem registry: the CLI resolves problems by name.  A plugin registers

@@ -8,9 +8,9 @@ the effective transfer matrix from the s-stage block system
     y_{n+1} = y_n + (b^T x I) K,
 
 splits it as R_eff = R + S where R is the classical stability matrix
-(A = J) and S the stage stability term, and verifies the resolvent
-identity the split rests on.  Everything here materializes Kronecker
-blocks densely and is meant for small diagnostic problems only.
+(A = J) and S the stage stability term, and reports the spectral radii
+of R and R_eff.  Everything here materializes Kronecker blocks densely
+and is meant for small diagnostic problems only.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ def _stage_system(jac, a, tableau, h):
 
 def _stage_supervector(jac, a, tableau, h, y):
     """K solving the block stage system for initial state y."""
-    n = jac.shape[0]
     s = tableau.s
     rhs = np.tile(h * (jac @ y), s)
     return np.linalg.solve(_stage_system(jac, a, tableau, h), rhs)
@@ -124,58 +123,9 @@ def stage_stability_term(jac: np.ndarray, a: np.ndarray, tableau: Tableau, h: fl
     return out
 
 
-def stage_stability_term_resolvent(jac: np.ndarray, a: np.ndarray, tableau: Tableau,
-                                   h: float, y: np.ndarray) -> np.ndarray:
-    """S(hJ, hA) y by the resolvent difference
-
-    (b^T x I) ([I - alpha x hJ - gamma x hA]^{-1} - [I - beta x hJ]^{-1}) h (1_s x J) y,
-
-    an independent route to the same quantity used to cross-check
-    stage_stability_term.
-    """
-    n = _check_sizes(jac, a, tableau)
-    s = tableau.s
-    rhs = np.tile(h * (jac @ y), s)
-    g_full = _stage_system(jac, a, tableau, h)
-    g_beta = np.eye(n * s) - np.kron(tableau.beta, h * jac)
-    diff = np.linalg.solve(g_full, rhs) - np.linalg.solve(g_beta, rhs)
-    out = np.zeros(n)
-    for i in range(s):
-        out += tableau.b[i] * diff[i * n : (i + 1) * n]
-    return out
-
-
-def check_block_identity(jac: np.ndarray, a: np.ndarray, tableau: Tableau, h: float) -> float:
-    """Max-abs deviation between the two sides of the resolvent identity
-
-    [I - alpha x hJ - gamma x hA]^{-1} - [I - beta x hJ]^{-1}
-        = -[I - beta x hJ]^{-1} [gamma x (hJ - hA)] [I - alpha x hJ - gamma x hA]^{-1}.
-    """
-    n = _check_sizes(jac, a, tableau)
-    s = tableau.s
-    g_full = _stage_system(jac, a, tableau, h)
-    g_beta = np.eye(n * s) - np.kron(tableau.beta, h * jac)
-    inv_full = np.linalg.inv(g_full)
-    inv_beta = np.linalg.inv(g_beta)
-    lhs = inv_full - inv_beta
-    rhs = -inv_beta @ np.kron(tableau.gamma_full, h * (jac - a)) @ inv_full
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 def stability_report(jac: np.ndarray, a: np.ndarray, tableau: Tableau, h: float,
                      basis_size: int = 0) -> StabilityReport:
     rho_classic = spectral_radius(transfer_matrix_analytic(jac, jac, tableau, h))
     rho_effective = spectral_radius(transfer_matrix_analytic(jac, a, tableau, h))
     return StabilityReport(rho_classic=rho_classic, rho_effective=rho_effective,
                            h=h, basis_size=basis_size)
-
-
-def max_stable_step(jac: np.ndarray, a: np.ndarray, tableau: Tableau,
-                    h_grid) -> float:
-    """Largest h in the grid with rho(R_eff) <= 1 + 1e-12 (0.0 if none)."""
-    best = 0.0
-    for h in sorted(h_grid):
-        rho = spectral_radius(transfer_matrix_analytic(jac, a, tableau, h))
-        if rho <= 1.0 + 1e-12:
-            best = h
-    return best

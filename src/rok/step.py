@@ -21,9 +21,8 @@ with one sparse LU: the full-space step with A = J, and the step with any
 stage matrix A for the stability diagnostics.
 
 The residual of stage i is its defect in the full-space stage equation
-k_i = h F_i + h J sum_j gamma_ij k_j.  direct_stage_residual evaluates
-the defect literally (the brute-force route); stage_residual_formula and
-stage_residual_formula_extended evaluate the closed forms built from the
+k_i = h F_i + h J sum_j gamma_ij k_j.  stage_residual_formula and
+stage_residual_formula_extended evaluate it in closed form from the
 Arnoldi overflow pair and the out-of-span components.
 """
 
@@ -206,20 +205,6 @@ def direct_step(problem, y: np.ndarray, f0: np.ndarray, h: float, tableau: Table
     y_new, y_embedded, _ = run_stages(problem, y, tableau, f0, solve_stage)
     return StepResult(y_new=y_new, y_embedded=y_embedded,
                       stats=StepStats(basis_core=n, basis_total=n))
-
-
-def direct_stage_residual(problem, internals: StepInternals, i: int) -> np.ndarray:
-    """Brute-force residual r_i = k_i - h F_i - h J sum_j gamma_ij k_j.
-
-    Evaluated with a single Jacobian-vector product; this is the oracle
-    the closed-form residual expressions are checked against.
-    """
-    tab = internals.tableau
-    h = internals.h
-    gamma_full = tab.gamma_full
-    ksum = sum(gamma_full[i, j] * internals.k_stages[j] for j in range(i + 1))
-    jk = problem.jv(internals.y, ksum)
-    return internals.k_stages[i] - h * internals.f_stages[i] - h * jk
 
 
 def stage_residual_formula(problem, internals: StepInternals, i: int) -> np.ndarray:

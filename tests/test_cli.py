@@ -85,10 +85,26 @@ def test_parse_strategy(label, expected, ext):
     assert extend is ext
 
 
-@pytest.mark.parametrize("label", ["", "M=x", "Q=3", "R=", "M=4+extra"])
+@pytest.mark.parametrize("label", ["", "M=x", "Q=3", "R=", "M=4+extra", "M=0", "M=-2",
+                                   "R=-1", "R=0", "R=nan", "R=inf+ext"])
 def test_parse_strategy_rejects_garbage(label):
     with pytest.raises(cli.ConfigError):
         cli.parse_strategy(label)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rtol", "-1"), ("rtol", "abc"), ("h_init", "0"), ("m_max", "0"),
+    ("strategy", "M=0"), ("strategy", "M=-2"), ("strategy", "R=-1"), ("strategy", "R=nan"),
+])
+def test_bad_integrator_value_is_a_config_error(tmp_path, capsys, key, value):
+    cp = configparser.ConfigParser()
+    cp.read_string(DAHLQUIST_RUN)
+    cp.set("integrator", key, value)
+    path = tmp_path / "config.ini"
+    with path.open("w") as fh:
+        cp.write(fh)
+    assert cli.main(["--config", str(path), "run"]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_user_problem_section_replaces_default(tmp_path):
@@ -175,7 +191,7 @@ def test_sweep_records_non_finite_rhs_as_failure():
     cp.remove_section("problem")
     cp.add_section("problem")
     cp.set("problem", "name", "cli-sweep-nan-rhs")
-    row = cli._run_sweep_cell(cp, default_tableau(), cli._SweepCell("M=2", 1e-4),
+    row = cli._run_sweep_cell(cp, default_tableau(), "M=2", 1e-4,
                               y_ref=np.ones(2), timing=False)
     assert row["converged"] == "false"
     assert row["error"] == ""
@@ -230,7 +246,7 @@ def test_sweep_records_failures_without_error_values(tmp_path):
     cp.set("integrator", "h_init", "1e-3")
     cp.set("integrator", "h_min", "1e-9")
     tab = default_tableau()
-    row = cli._run_sweep_cell(cp, tab, cli._SweepCell("M=2", 1e-4),
+    row = cli._run_sweep_cell(cp, tab, "M=2", 1e-4,
                               y_ref=np.ones(2), timing=False)
     assert row["converged"] == "false"
     assert row["error"] == ""

@@ -109,6 +109,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(h_init=1e-20, h_min=1e-12).validate()
     with pytest.raises(ValueError):
+        IntegratorConfig(m_max=0).validate()
+    with pytest.raises(ValueError):
         integrate(make_dahlquist(), 1.0, 0.0, np.array([1.0]), prob_tableau(),
                   IntegratorConfig())
 

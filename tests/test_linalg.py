@@ -147,6 +147,11 @@ def test_spectral_radius_matches_power_iteration():
     assert linalg.spectral_radius(a) == pytest.approx(rho_power, rel=1e-9)
 
 
+def test_spectral_radius_names_non_finite_input():
+    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+        linalg.spectral_radius(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
 def test_spectral_radius_rejects_nonsquare():
     with pytest.raises(DimensionMismatchError):
         linalg.spectral_radius(np.zeros((2, 3)))
