@@ -27,7 +27,7 @@ from .integrate import (
     integrate_fixed,
 )
 from .problems import AllenCahnSpec, OdeProblem, get_problem, make_allen_cahn, make_linear, make_smooth_nonlinear
-from .step import StepResult, rok_step, stage_residual_formula, stage_residual_formula_extended
+from .step import StepResult, rok_step, stage_residual_formula
 from .tableau import Tableau, default_tableau, load_tableau
 
 __all__ = [
@@ -60,5 +60,4 @@ __all__ = [
     "make_smooth_nonlinear",
     "rok_step",
     "stage_residual_formula",
-    "stage_residual_formula_extended",
 ]

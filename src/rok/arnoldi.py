@@ -36,7 +36,7 @@ import numpy as np
 from . import linalg
 from .errors import SingularMatrixError, ZeroStartVectorError
 
-#: Default residual test indices for the adaptive Arnoldi process.
+#: Residual test indices of the adaptive Arnoldi process (m_max is tested last).
 DEFAULT_TEST_INDICES = (1, 2, 3, 4, 6, 8, 11, 15, 20, 27, 36, 48)
 
 #: ||f|| at or below this is treated as an equilibrium (zero start vector).
@@ -208,7 +208,6 @@ def build_adaptive(
     gamma: float,
     resid_tol: float,
     m_max: int,
-    test_indices=DEFAULT_TEST_INDICES,
     previous: KrylovBasis | None = None,
 ) -> KrylovBasis:
     """Grow the basis until the first-stage residual passes resid_tol.
@@ -225,7 +224,7 @@ def build_adaptive(
     is identical to a fresh build.
     """
     m_max = min(m_max, problem.dim)
-    tests = sorted(i for i in set(test_indices) if 1 <= i < m_max) + [m_max]
+    tests = [i for i in DEFAULT_TEST_INDICES if i < m_max] + [m_max]
     if previous is None:
         state = _ArnoldiState(problem, y, f, m_max)
     else:

@@ -40,6 +40,8 @@ SWEEP_CSV_HEADER = [
 
 STABILITY_CSV_HEADER = ["h", "rho_classic", "rho_effective", "M"]
 
+INTEGRATOR_KEYS = {"rtol", "atol", "strategy", "h_init", "h_min", "h_max", "m_max", "tableau"}
+
 DEFAULT_CONFIG = """\
 [problem]
 name = allen-cahn
@@ -54,9 +56,6 @@ strategy = R=tol+ext
 h_init = 1e-4
 h_min = 1e-12
 h_max = 1.0
-safety = 0.9
-fac_min = 0.2
-fac_max = 5.0
 m_max = 48
 # tableau = path/to/custom.tab
 
@@ -171,6 +170,9 @@ def _tableau_from_config(cp):
 
 def _integrator_config(cp, rtol=None, atol=None, strategy_label=None) -> IntegratorConfig:
     sec = cp["integrator"]
+    unknown = sorted(set(sec) - INTEGRATOR_KEYS)
+    if unknown:
+        raise ConfigError(f"[integrator]: unknown key(s) {', '.join(unknown)}")
     label = strategy_label if strategy_label is not None else sec.get("strategy", "M=4")
     strat, extend = parse_strategy(label)
     try:
@@ -182,9 +184,6 @@ def _integrator_config(cp, rtol=None, atol=None, strategy_label=None) -> Integra
             h_init=sec.getfloat("h_init"),
             h_min=sec.getfloat("h_min"),
             h_max=sec.getfloat("h_max"),
-            safety=sec.getfloat("safety"),
-            fac_min=sec.getfloat("fac_min"),
-            fac_max=sec.getfloat("fac_max"),
             m_max=sec.getint("m_max"),
         )
         cfg.validate()
@@ -258,38 +257,59 @@ def _run_sweep_cell(cp, tab, strategy_label: str, tol: float, y_ref, timing: boo
 
 
 def _sweep_reference(cp, tab):
+    """The state in the [sweep] reference file, else _compute_reference's."""
+    problem = _problem_from_config(cp)
     ref_path = cp.get("sweep", "reference", fallback=None)
-    if ref_path is not None:
-        if not Path(ref_path).exists():
-            raise ConfigError(f"reference file {ref_path} does not exist")
+    if ref_path is None:
+        return _compute_reference(cp, problem, tab)
+    try:
         y_ref, _ = reference.read_reference(ref_path)
-        return y_ref
-    return _compute_reference(cp, _problem_from_config(cp), tab)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[sweep] reference: {exc}") from exc
+    if y_ref.shape != (problem.dim,):
+        raise ConfigError(f"[sweep] reference: {ref_path} holds {y_ref.size} values, "
+                          f"the problem has {problem.dim}")
+    return y_ref
 
 
 def _compute_reference(cp, problem, tab):
-    """compute_reference with the [reference] settings, over the problem's t_span."""
+    """compute_reference with the [reference] settings, over the problem's t_span.
+
+    The settings are checked first (ConfigError); returns None, with the
+    cause printed, when the full-space integration or its RK4
+    cross-validation fails.
+    """
     sec = cp["reference"]
+    try:
+        settings = dict(rtol=sec.getfloat("rtol"), atol=sec.getfloat("atol"),
+                        rk4_steps=sec.getint("rk4_steps"), cross_tol=sec.getfloat("cross_tol"))
+        if settings["rk4_steps"] < 1 or not all(
+                0.0 < settings[k] < np.inf for k in ("rtol", "atol", "cross_tol")):
+            raise ValueError("need rk4_steps >= 1 and finite rtol, atol, cross_tol > 0")
+    except ValueError as exc:
+        raise ConfigError(f"[reference]: {exc}") from exc
     t0, tf = problem.t_span
-    return reference.compute_reference(
-        problem, t0, tf, problem.y0, tab,
-        rtol=sec.getfloat("rtol"), atol=sec.getfloat("atol"),
-        rk4_steps=sec.getint("rk4_steps"), cross_tol=sec.getfloat("cross_tol"),
-    )
+    try:
+        return reference.compute_reference(problem, t0, tf, problem.y0, tab, **settings)
+    except (ValueError, StepSizeUnderflowError, NonFiniteError) as exc:
+        print(f"reference computation failed: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_sweep(args) -> int:
     cp = _seeded_config(args)
     tab = _tableau_from_config(cp)
     strategies = [s.strip() for s in cp.get("sweep", "strategies").split(",") if s.strip()]
-    tolerances = [float(t) for t in cp.get("sweep", "tolerances").split(",") if t.strip()]
-    timing = cp.get("sweep", "timing", fallback="on").lower() not in ("off", "false", "0", "none")
     try:
-        y_ref = _sweep_reference(cp, tab)
-    except ConfigError:  # a ValueError too, but a config fault: exit 2 in main
-        raise
+        tolerances = [float(t) for t in cp.get("sweep", "tolerances").split(",") if t.strip()]
     except ValueError as exc:
-        print(f"reference computation failed: {exc}", file=sys.stderr)
+        raise ConfigError(f"[sweep]: {exc}") from exc
+    for s in strategies:  # every cell's settings are checked before any computation
+        for t in tolerances:
+            _integrator_config(cp, rtol=t, atol=t, strategy_label=s)
+    timing = cp.get("sweep", "timing", fallback="on").lower() not in ("off", "false", "0", "none")
+    y_ref = _sweep_reference(cp, tab)
+    if y_ref is None:
         return 1
 
     rows = [_run_sweep_cell(cp, tab, s, t, y_ref, timing)
@@ -310,10 +330,8 @@ def cmd_reference(args) -> int:
     cp = _seeded_config(args)
     problem = _problem_from_config(cp)
     tab = _tableau_from_config(cp)
-    try:
-        y_ref = _compute_reference(cp, problem, tab)
-    except ValueError as exc:
-        print(f"reference computation failed: {exc}", file=sys.stderr)
+    y_ref = _compute_reference(cp, problem, tab)
+    if y_ref is None:
         return 1
     out = Path(args.out) if args.out else Path("reference.bin")
     sec = cp["reference"]
@@ -331,12 +349,20 @@ def cmd_stability(args) -> int:
     cp = load_config(args.config)
     tab = _tableau_from_config(cp)
     sec = cp["stability"]
-    n = sec.getint("n")
-    seed = args.seed if args.seed is not None else sec.getint("seed")
-    problem = get_problem("linear-random", n=n, seed=seed, stiffness=sec.getfloat("stiffness"))
+    try:
+        n, h_points = sec.getint("n"), sec.getint("h_points")
+        seed = args.seed if args.seed is not None else sec.getint("seed")
+        stiffness, h_low, h_high = (sec.getfloat(k) for k in ("stiffness", "h_low", "h_high"))
+        m_list = [int(m) for m in sec.get("m_list").split(",") if m.strip()]
+        if (min([n, h_points, *m_list]) < 1 or not np.isfinite(stiffness)
+                or not all(0.0 < x < np.inf for x in (h_low, h_high))):
+            raise ValueError("need n, h_points and every m_list entry >= 1, a finite "
+                             "stiffness, and finite h_low, h_high > 0")
+    except ValueError as exc:
+        raise ConfigError(f"[stability]: {exc}") from exc
+    problem = get_problem("linear-random", n=n, seed=seed, stiffness=stiffness)
     jac = problem.jacobian(problem.y0)
-    m_list = [int(m) for m in sec.get("m_list").split(",") if m.strip()]
-    h_grid = np.geomspace(sec.getfloat("h_low"), sec.getfloat("h_high"), sec.getint("h_points"))
+    h_grid = np.geomspace(h_low, h_high, h_points)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

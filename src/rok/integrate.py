@@ -11,7 +11,7 @@ f(y) and K(J(y), f(y)), unchanged: the retry keeps f(y) and the basis
 only the stopping test at the new step size).
 The step-size update is the usual Hairer-style controller
 
-    h_next = h * min(fac_max, max(fac_min, safety * err**(-1/(min(p, p_hat)+1)))).
+    h_next = h * min(FAC_MAX, max(FAC_MIN, SAFETY * err**(-1/(min(p, p_hat)+1)))).
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ from . import arnoldi
 from .errors import NonFiniteError, SingularMatrixError, StepSizeUnderflowError
 from .step import rok_step
 from .tableau import Tableau
+
+#: Step-size controller constants (see the module docstring).
+SAFETY = 0.9
+FAC_MIN = 0.2
+FAC_MAX = 5.0
 
 
 @dataclass(frozen=True)
@@ -65,9 +70,6 @@ class IntegratorConfig:
     h_init: float = 1e-3
     h_min: float = 1e-12
     h_max: float = math.inf
-    safety: float = 0.9
-    fac_min: float = 0.2
-    fac_max: float = 5.0
     m_max: int = 48
 
     def validate(self) -> None:
@@ -196,8 +198,8 @@ def control(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
         if math.isinf(err):
             factor = 0.5
         else:
-            factor = config.safety * err**exponent if err > 0.0 else config.fac_max
-        h = h * min(config.fac_max, max(config.fac_min, factor))
+            factor = SAFETY * err**exponent if err > 0.0 else FAC_MAX
+        h = h * min(FAC_MAX, max(FAC_MIN, factor))
         h = min(h, config.h_max)
         if h < config.h_min:
             raise StepSizeUnderflowError(

@@ -34,9 +34,9 @@ def write_reference(path, y: np.ndarray, metadata: dict) -> None:
 
 def read_reference(path) -> tuple[np.ndarray, dict]:
     raw = Path(path).read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path}: not a reference file (bad magic)")
     off = len(MAGIC)
+    if raw[:off] != MAGIC or len(raw) < off + 8:
+        raise ValueError(f"{path}: not a reference file (bad magic or truncated header)")
     (dim,) = struct.unpack_from("<Q", raw, off)
     off += 8
     y = np.frombuffer(raw, dtype="<f8", count=dim, offset=off).copy()

@@ -21,9 +21,10 @@ with one sparse LU: the full-space step with A = J, and the step with any
 stage matrix A for the stability diagnostics.
 
 The residual of stage i is its defect in the full-space stage equation
-k_i = h F_i + h J sum_j gamma_ij k_j.  stage_residual_formula and
-stage_residual_formula_extended evaluate it in closed form from the
-Arnoldi overflow pair and the out-of-span components.
+k_i = h F_i + h J sum_j gamma_ij k_j.  stage_residual_formula evaluates
+it in closed form, for plain and extended steps alike, from the extended
+Arnoldi relation: the out-of-span parts of the stage RHS vectors, the
+Arnoldi overflow pair, and the out-of-span part of J on appended vectors.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ class StepInternals:
     h: float
     tableau: Tableau
     basis: arnoldi.KrylovBasis
-    extended: bool
-    stage_dims: list = field(default_factory=list)
     lambdas: list = field(default_factory=list)
     f_stages: list = field(default_factory=list)
     psi_stages: list = field(default_factory=list)
@@ -129,7 +128,7 @@ def rok_step(
     tab = tableau
     gamma_full = tab.gamma_full
     stats = StepStats(basis_core=basis.core_size, hit_cap=basis.hit_cap)
-    internals = StepInternals(y=y, h=h, tableau=tab, basis=basis, extended=extend)
+    internals = StepInternals(y=y, h=h, tableau=tab, basis=basis)
 
     fac = linalg.lu_factor(basis.h, h * tab.gamma)
     lambdas: list[np.ndarray] = []
@@ -159,7 +158,6 @@ def rok_step(
 
         lambdas.append(lam)
         if keep_internals:
-            internals.stage_dims.append(m)
             internals.f_stages.append(f_i)
             internals.psi_stages.append(psi)
         if i == 0:
@@ -208,60 +206,38 @@ def direct_step(problem, y: np.ndarray, f0: np.ndarray, h: float, tableau: Table
 
 
 def stage_residual_formula(problem, internals: StepInternals, i: int) -> np.ndarray:
-    """Closed-form stage residual for the unextended step.
+    """Closed-form residual of stage i, for plain and extended steps alike.
 
-    r_i = - sum_{j<=i} h^2 gamma_ij J (F_j - V psi_j)
-          - h h_{M+1,M} v_{M+1} e_M^T sum_{j<=i} gamma_ij lambda_j
+    With V_j the basis at stage j, M the core size and Lambda =
+    sum_{j<=i} gamma_ij lambda_j zero-padded to stage i's basis size, the
+    extended Arnoldi relation
+    J V = V H + h_{M+1,M} v_{M+1} e_M^T + (I - V V^T) J V_ext gives
+
+        r_i = - h^2 J sum_{j<=i} gamma_ij (F_j - V_j psi_j)
+              - h h_{M+1,M} v_{M+1} Lambda_M
+              - h (I - V_i V_i^T) J V_i[:, M:] Lambda[M:].
+
+    Without extension the last term is empty; with it, F_j is in the span
+    of V_j and the first term is roundoff.
     """
-    if internals.extended:
-        raise ValueError("step was run with extension; use stage_residual_formula_extended")
-    tab = internals.tableau
     h = internals.h
     basis = internals.basis
-    gamma_full = tab.gamma_full
-
-    r = np.zeros(basis.dim)
-    for j in range(i + 1):
-        gij = gamma_full[i, j]
-        if gij == 0.0:
-            continue
-        out_of_span = internals.f_stages[j] - basis.v @ internals.psi_stages[j]
-        if np.any(out_of_span):
-            r -= h * h * gij * problem.jv(internals.y, out_of_span)
-    if basis.h_next != 0.0:
-        lam_sum = sum(gamma_full[i, j] * internals.lambdas[j] for j in range(i + 1))
-        r -= h * basis.h_next * basis.v_next * lam_sum[basis.core_size - 1]
-    return r
-
-
-def stage_residual_formula_extended(problem, internals: StepInternals, i: int) -> np.ndarray:
-    """Closed-form stage residual when the basis was extended per stage.
-
-    Both terms are out-of-span components: the core Arnoldi overflow
-    h_{M+1,M} v_{M+1} weighted by component M of the gamma-combined
-    zero-padded reduced solutions, and the projection of J applied to the
-    appended vectors present at stage i, weighted by their components.
-    """
-    if not internals.extended:
-        raise ValueError("step was run without extension; use stage_residual_formula")
-    tab = internals.tableau
-    h = internals.h
-    basis = internals.basis
-    gamma_full = tab.gamma_full
+    gamma_full = internals.tableau.gamma_full
     m_core = basis.core_size
-    dim_i = internals.stage_dims[i]
+    dim_i = len(internals.lambdas[i])
+    v_i = basis.v[:, :dim_i]
 
     lam_sum = np.zeros(dim_i)
+    out_of_span = np.zeros(basis.dim)
     for j in range(i + 1):
+        psi = internals.psi_stages[j]
         lam_sum += gamma_full[i, j] * _padded(internals.lambdas[j], dim_i)
+        out_of_span += gamma_full[i, j] * (internals.f_stages[j] - basis.v[:, : len(psi)] @ psi)
 
-    r = np.zeros(basis.dim)
+    r = -h * h * problem.jv(internals.y, out_of_span)
     if basis.h_next != 0.0:
         r -= h * basis.h_next * basis.v_next * lam_sum[m_core - 1]
     if dim_i > m_core:
-        v_i = basis.v[:, :dim_i]
-        w = v_i[:, m_core:dim_i] @ lam_sum[m_core:dim_i]
-        if np.any(w):
-            z = problem.jv(internals.y, w)
-            r -= h * (z - v_i @ (v_i.T @ z))
+        z = problem.jv(internals.y, v_i[:, m_core:] @ lam_sum[m_core:])
+        r -= h * (z - v_i @ (v_i.T @ z))
     return r

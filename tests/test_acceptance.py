@@ -63,7 +63,7 @@ def test_criterion_1_residual_formula_equivalence():
             f = step.stage_residual_formula(prob, plain.internals, i)
             assert np.linalg.norm(d - f) <= 1e-9 * np.linalg.norm(d) + 1e-13
             d = oracles.direct_stage_residual(prob, extended.internals, i)
-            f = step.stage_residual_formula_extended(prob, extended.internals, i)
+            f = step.stage_residual_formula(prob, extended.internals, i)
             assert np.linalg.norm(d - f) <= 1e-9 * np.linalg.norm(d) + 1e-13
     assert time.perf_counter() - start < 60.0
     _report(1, "residual-formula equivalence, 200 trials")

@@ -10,7 +10,7 @@ from rok import cli
 from rok.integrate import (AdaptiveResidual, AdaptiveResidualMatchTol, FixedBasis,
                            IntegratorConfig, integrate)
 from rok.problems import AllenCahnSpec, OdeProblem, make_allen_cahn, register_problem
-from rok.reference import read_reference
+from rok.reference import read_reference, write_reference
 from rok.tableau import default_tableau
 
 from conftest import make_poisoned_problem
@@ -95,6 +95,7 @@ def test_parse_strategy_rejects_garbage(label):
 @pytest.mark.parametrize("key, value", [
     ("rtol", "-1"), ("rtol", "abc"), ("h_init", "0"), ("m_max", "0"),
     ("strategy", "M=0"), ("strategy", "M=-2"), ("strategy", "R=-1"), ("strategy", "R=nan"),
+    ("safety", "0.9"), ("fac_min", "0.2"), ("fac_max", "0"),
 ])
 def test_bad_integrator_value_is_a_config_error(tmp_path, capsys, key, value):
     cp = configparser.ConfigParser()
@@ -105,6 +106,39 @@ def test_bad_integrator_value_is_a_config_error(tmp_path, capsys, key, value):
         cp.write(fh)
     assert cli.main(["--config", str(path), "run"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("sweep", "sweep", "tolerances", "1e-3, abc"),
+    ("stability", "stability", "m_list", "2, x"),
+    ("stability", "stability", "n", "abc"),
+    ("stability", "stability", "m_list", "0"),
+    ("reference", "reference", "rk4_steps", "0"),
+    ("sweep", "reference", "rk4_steps", "0"),
+    ("reference", "reference", "rk4_steps", "x"),
+    ("reference", "reference", "rtol", "-1"),
+])
+def test_bad_section_value_is_a_config_error(tmp_path, capsys, command, section, key, value):
+    cp = configparser.ConfigParser()
+    cp.read_string(DAHLQUIST_RUN)
+    cp.read_dict({section: {key: value}})
+    path = tmp_path / "config.ini"
+    with path.open("w") as fh:
+        cp.write(fh)
+    assert cli.main(["--config", str(path), command]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["rk4-mismatch", "step-underflow"])
+def test_reference_failure_is_not_a_config_error(tmp_path, capsys, case):
+    if case == "rk4-mismatch":
+        # two RK4 steps on y' = -y miss the reference by ~1e-4, far beyond cross_tol
+        cfg = DAHLQUIST_RUN + "\n[reference]\nrk4_steps = 2\ncross_tol = 1e-12\n"
+    else:
+        register_problem("cli-ref-poisoned", lambda: make_poisoned_problem("cli-ref-poisoned"))
+        cfg = "[problem]\nname = cli-ref-poisoned\n"
+    assert cli.main(["--config", str(write(tmp_path, cfg)), "reference"]) == 1
+    assert "reference computation failed" in capsys.readouterr().err
 
 
 def test_user_problem_section_replaces_default(tmp_path):
@@ -233,6 +267,18 @@ def test_sweep_uses_stored_reference(tmp_path):
 
 def test_sweep_with_missing_reference_file_is_a_config_error(tmp_path, capsys):
     cfg = SMALL_SWEEP.replace("[sweep]", f"[sweep]\nreference = {tmp_path / 'nope.bin'}")
+    assert cli.main(["--config", str(write(tmp_path, cfg)), "sweep"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["truncated-header", "wrong-size"])
+def test_bad_stored_reference_is_a_config_error(tmp_path, capsys, case):
+    ref_path = tmp_path / "ref.bin"
+    if case == "truncated-header":
+        ref_path.write_bytes(b"ROKREF1\0\0\0")
+    else:  # readable, but the dahlquist problem has one component
+        write_reference(ref_path, np.ones(2), {})
+    cfg = DAHLQUIST_RUN + f"\n[sweep]\nstrategies = M=1\ntolerances = 1e-4\nreference = {ref_path}\n"
     assert cli.main(["--config", str(write(tmp_path, cfg)), "sweep"]) == 2
     assert "config error" in capsys.readouterr().err
 

@@ -37,6 +37,9 @@ def test_reference_file_bad_magic(tmp_path):
     path.write_bytes(b"NOTAREF" + b"\0" * 16)
     with pytest.raises(ValueError):
         read_reference(path)
+    path.write_bytes(b"ROKREF1" + b"\0" * 3)  # header cut short
+    with pytest.raises(ValueError):
+        read_reference(path)
 
 
 def test_rk4_oracle_on_known_solution():

@@ -48,6 +48,13 @@ def test_full_basis_matches_classical_rosenbrock(tab):
         for i in range(tab.s):
             r = oracles.direct_stage_residual(prob, res.internals, i)
             assert np.linalg.norm(r) <= 1e-11 * np.linalg.norm(ks[i])
+        # with extension at M = N every stage vector is already in the span
+        ext = run_step(prob, y, h, tab, n, extend=True)
+        assert ext.stats.extensions == 0
+        for i in range(tab.s):
+            d = oracles.direct_stage_residual(prob, ext.internals, i)
+            f = step.stage_residual_formula(prob, ext.internals, i)
+            assert np.linalg.norm(d - f) <= 1e-9 * np.linalg.norm(d) + 1e-13
 
 
 def test_residual_formula_matches_direct(tab):
@@ -75,20 +82,8 @@ def test_residual_formula_extended_matches_direct(tab):
         assert res.stats.extensions >= 1
         for i in range(tab.s):
             d = oracles.direct_stage_residual(prob, res.internals, i)
-            f = step.stage_residual_formula_extended(prob, res.internals, i)
+            f = step.stage_residual_formula(prob, res.internals, i)
             assert np.linalg.norm(d - f) <= 1e-9 * np.linalg.norm(d) + 1e-13
-
-
-def test_residual_formula_variant_guards(tab):
-    rng = np.random.default_rng(43)
-    prob = make_random_nonlinear(10, rng)
-    y = rng.standard_normal(10)
-    plain = run_step(prob, y, 0.05, tab, 3)
-    extended = run_step(prob, y, 0.05, tab, 3, extend=True)
-    with pytest.raises(ValueError):
-        step.stage_residual_formula_extended(prob, plain.internals, 0)
-    with pytest.raises(ValueError):
-        step.stage_residual_formula(prob, extended.internals, 0)
 
 
 def test_first_stage_residual_matches_direct(tab):
