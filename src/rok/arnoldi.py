@@ -14,6 +14,11 @@ to keep the basis orthonormal to working precision (Daniel, Gragg,
 Kaufman and Stewart 1976; Giraud, Langou and Rozloznik 2005).
 KrylovBasis.v is the (n, M) transposed view of those rows.
 
+build_adaptive tests the first-stage residual at every basis size and
+stops at the first size that passes.  It factors I - h*gamma*H_i for each
+leading block H_i by one progressive elimination (linalg.ProgressiveLU),
+and hands the factor of the block it stops at to the step.
+
 K_M(J(y), f(y)) does not depend on the step size; only the adaptive
 stopping index does.  A basis from build_adaptive therefore keeps its
 Arnoldi process, and passing it back as ``previous`` reruns the stopping
@@ -34,10 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .errors import SingularMatrixError, ZeroStartVectorError
-
-#: Residual test indices of the adaptive Arnoldi process (m_max is tested last).
-DEFAULT_TEST_INDICES = (1, 2, 3, 4, 6, 8, 11, 15, 20, 27, 36, 48)
+from .errors import ZeroStartVectorError
 
 #: ||f|| at or below this is treated as an equilibrium (zero start vector).
 ZERO_START_THRESHOLD = 1e-300
@@ -84,6 +86,9 @@ class KrylovBasis:
     beta is the norm of the start vector, so v[:, 0] * beta recovers it.
     v and v_next are read-only views of row storage shared with the
     Arnoldi process (``state``) and with bases extended from this one.
+    fac, set by build_adaptive, is the factor of I - fac.hg*h that its
+    stopping test computed (None when that matrix is numerically
+    singular, and on every other basis).
     """
 
     v: np.ndarray
@@ -97,6 +102,7 @@ class KrylovBasis:
     hit_cap: bool = False
     state: _ArnoldiState | None = None
     rows: _Rows | None = None
+    fac: linalg.HessenbergFactorization | None = None
 
     @property
     def size(self) -> int:
@@ -169,7 +175,8 @@ class _ArnoldiState:
             self.advance()
         return not (self.broke_down and self.m <= size)
 
-    def snapshot(self, size: int, hit_cap: bool = False) -> KrylovBasis:
+    def snapshot(self, size: int, hit_cap: bool = False,
+                 fac: linalg.HessenbergFactorization | None = None) -> KrylovBasis:
         if self.broke_down and size >= self.m:
             size = self.m
             h_next, v_next = 0.0, None
@@ -187,6 +194,7 @@ class _ArnoldiState:
             hit_cap=hit_cap,
             state=self,
             rows=self.rows,
+            fac=fac,
         )
 
 
@@ -212,11 +220,14 @@ def build_adaptive(
 ) -> KrylovBasis:
     """Grow the basis until the first-stage residual passes resid_tol.
 
-    At each test index i the reduced first-stage system
+    At every size i the reduced first-stage system
     (I - h*gamma*H_i) lambda_1 = h*beta*e_1 is solved and the monitored
     residual norm |h*gamma*h_{i+1,i}| * |e_i^T lambda_1| compared against
-    resid_tol.  Returns the basis at the first passing index, at the
-    breakdown index, or at m_max with hit_cap set when no index passed.
+    resid_tol; a size whose matrix is numerically singular does not pass.
+    Returns the basis at the first passing size, at the breakdown size, or
+    at m_max with hit_cap set when no size passed.  One progressive LU
+    (linalg.ProgressiveLU) serves every size, and the returned basis
+    carries its factor in fac.
 
     previous, when given, is a basis build_adaptive returned for the same
     problem, y and f with at least this m_max (say, before a rejected
@@ -224,25 +235,22 @@ def build_adaptive(
     is identical to a fresh build.
     """
     m_max = min(m_max, problem.dim)
-    tests = [i for i in DEFAULT_TEST_INDICES if i < m_max] + [m_max]
     if previous is None:
         state = _ArnoldiState(problem, y, f, m_max)
     else:
         state = previous.state
         if state is None or state.problem is not problem or state.y is not y or state.m_max < m_max:
             raise ValueError("previous basis was not built for this problem, state and m_max")
-    for i in tests:
-        if not state.reach(i):
-            return state.snapshot(state.m)
-        try:
-            fac = linalg.lu_factor(state.h[:i, :i], h * gamma)
-            lam1 = linalg.lu_solve(fac, h * state.beta * np.eye(1, i, 0)[0])
-        except SingularMatrixError:
-            continue
-        resid = abs(h * gamma * state.h[i, i - 1]) * abs(lam1[i - 1])
-        if resid <= resid_tol:
-            return state.snapshot(i)
-    return state.snapshot(m_max, hit_cap=True)
+    lu = linalg.ProgressiveLU(h * gamma, m_max, h * state.beta)
+    for i in range(1, m_max + 1):
+        grown = state.reach(i)
+        lu.append(state.h[: i + 1, i - 1])
+        if not grown:  # happy breakdown at size i: the residual is zero
+            return state.snapshot(i, fac=lu.factorization())
+        lam_last = lu.last_entry()
+        if lam_last is not None and abs(h * gamma * state.h[i, i - 1]) * abs(lam_last) <= resid_tol:
+            return state.snapshot(i, fac=lu.factorization())
+    return state.snapshot(m_max, hit_cap=True, fac=lu.factorization())
 
 
 def extend(basis: KrylovBasis, problem, y: np.ndarray, w: np.ndarray) -> KrylovBasis:
@@ -288,6 +296,7 @@ def extend(basis: KrylovBasis, problem, y: np.ndarray, w: np.ndarray) -> KrylovB
         ext_count=basis.ext_count + 1,
         ext_jv=basis.ext_jv + (jvbar,),
         rows=rows,
+        fac=None,
     )
 
 

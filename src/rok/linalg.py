@@ -4,8 +4,10 @@ The stage systems of the integrator have the form (I - hg*H) x = rhs with H
 a small upper-Hessenberg matrix.  This module provides an LU factorization
 kept in LAPACK getrf's packed form (one array and the pivot indices), solves
 by laswp and two trtrs calls on it, an O(M^2) bordered column-append update
-of the same packed form used when the Krylov basis grows mid-step, and a
-spectral-radius helper for the stability diagnostics.
+of the same packed form used when the Krylov basis grows mid-step, the
+progressive elimination that factors each leading block of a growing
+Hessenberg matrix in turn, and a spectral-radius helper for the stability
+diagnostics.
 """
 
 from __future__ import annotations
@@ -73,16 +75,16 @@ def lu_factor(hess: np.ndarray, hg: float) -> HessenbergFactorization:
     return HessenbergFactorization(lu=np.ascontiguousarray(lu), piv=piv, hg=hg, scale=scale)
 
 
-def _forward(fac: HessenbergFactorization, b: np.ndarray) -> np.ndarray:
-    """L^{-1} P b.
+def _forward(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^{-1} P b for the packed factor (lu, piv).
 
     Every triangular solve here hands trtrs lu.T (Fortran-ordered, so no
-    copy), with trans=1 for L and U.  getrs on the same factor rounds most
+    copy for a whole C-contiguous factor), with trans=1 for L and U.  getrs on the same factor rounds most
     solves differently in the last bit, which is enough to move step-size
     sequences.
     """
-    pb = lapack.dlaswp(b, fac.piv)
-    return lapack.dtrtrs(fac.lu.T, pb, lower=0, trans=1, unitdiag=1)[0]
+    pb = lapack.dlaswp(b, piv)
+    return lapack.dtrtrs(lu.T, pb, lower=0, trans=1, unitdiag=1)[0]
 
 
 def lu_solve(fac: HessenbergFactorization, rhs: np.ndarray) -> np.ndarray:
@@ -91,7 +93,7 @@ def lu_solve(fac: HessenbergFactorization, rhs: np.ndarray) -> np.ndarray:
     m = fac.size
     if rhs.shape != (m,):
         raise DimensionMismatchError(f"rhs has shape {rhs.shape}, expected ({m},)")
-    return lapack.dtrtrs(fac.lu.T, _forward(fac, rhs), lower=1, trans=1)[0]
+    return lapack.dtrtrs(fac.lu.T, _forward(fac.lu, fac.piv, rhs), lower=1, trans=1)[0]
 
 
 def lu_append_column(
@@ -121,7 +123,7 @@ def lu_append_column(
     if new_column_top.shape != (m,):
         raise DimensionMismatchError(f"column has shape {new_column_top.shape}, expected ({m},)")
     a_col = -fac.hg * new_column_top
-    u_col = _forward(fac, a_col)
+    u_col = _forward(fac.lu, fac.piv, a_col)
     if new_row_left is not None:
         new_row_left = np.asarray(new_row_left, dtype=float)
         if new_row_left.shape != (m,):
@@ -140,6 +142,92 @@ def lu_append_column(
     lu[m, :m] = l_row
     lu[m, m] = diag
     return HessenbergFactorization(lu=lu, piv=np.append(fac.piv, m), hg=fac.hg, scale=scale)
+
+
+class ProgressiveLU:
+    """P(I - hg*H_i) = L U for the leading blocks H_i of a growing Hessenberg H.
+
+    The progressive elimination of FOM/DIOM (Saad, Iterative Methods for
+    Sparse Linear Systems, 2nd ed., ch. 6) in getrf's packed form.  On an
+    upper-Hessenberg matrix, partial pivoting compares a column's diagonal
+    only with the subdiagonal entry below it.  So when row and column i
+    arrive, the pivot of column i-1 is settled, every earlier step is
+    final, and the bottom pivot of the block stays tentative until the
+    next column.  The factor of each block is the one getrf computes,
+    up to rounding.
+
+    Alongside the factor it carries the last entry of L^{-1} P (rhs0 e_1),
+    so last_entry() gives e_i^T x of (I - hg*H_i) x = rhs0 e_1 for one
+    division: the quantity the adaptive Arnoldi stopping test needs.
+    """
+
+    def __init__(self, hg: float, capacity: int, rhs0: float):
+        self.hg = hg
+        self.size = 0
+        self.scale = 0.0
+        self._lu = np.zeros((capacity, capacity))
+        self._piv = np.arange(capacity, dtype=np.int32)
+        self._settled_min = np.inf
+        self._y = rhs0
+        self._sub = 0.0
+
+    def append(self, column: np.ndarray) -> None:
+        """Grow the block by the next column of H.
+
+        column runs down to and including the subdiagonal entry, which
+        enters the block with the column after it.
+        """
+        i = self.size
+        lu = self._lu
+        a = column[: i + 1] * -self.hg
+        a[i] += 1.0
+        self.scale = max(self.scale, float(np.abs(a).max()))
+        if i > 0:
+            p = i - 1
+            tentative = float(lu[p, p])
+            sub = self._sub
+            self.scale = max(self.scale, abs(sub))
+            if abs(sub) > abs(tentative):
+                # Interchange rows p and i, L parts included, as getrf does.
+                # Row i's right-hand side entry (zero) moves up, and the
+                # tentative one moves down unchanged.
+                self._piv[p] = i
+                lu[i, :p] = lu[p, :p]
+                lu[p, :p] = 0.0
+                lu[p, p] = sub
+                lu[i, p] = tentative / sub
+            else:
+                mult = sub / tentative if tentative != 0.0 else 0.0
+                lu[i, p] = mult
+                self._y = -mult * self._y
+            self._settled_min = min(self._settled_min, abs(float(lu[p, p])))
+            a = _forward(lu[: i + 1, : i + 1], self._piv[:i], a)
+        lu[: i + 1, i] = a
+        self._sub = -self.hg * float(column[i + 1])
+        self.size = i + 1
+
+    def _singular(self) -> bool:
+        # lu_factor's test: some pivot of the block at or below the threshold.
+        p = self.size - 1
+        return min(self._settled_min, abs(float(self._lu[p, p]))) <= _pivot_threshold(self.scale)
+
+    def last_entry(self) -> float | None:
+        """e_i^T x for (I - hg*H_i) x = rhs0 e_1 at the current size i, or
+        None where lu_factor would raise SingularMatrixError."""
+        if self._singular():
+            return None
+        p = self.size - 1
+        return self._y / float(self._lu[p, p])
+
+    def factorization(self) -> HessenbergFactorization | None:
+        """A copy of the current block's factor, or None where lu_factor
+        would raise SingularMatrixError."""
+        if self._singular():
+            return None
+        i = self.size
+        return HessenbergFactorization(
+            lu=self._lu[:i, :i].copy(), piv=self._piv[:i].copy(), hg=self.hg, scale=self.scale
+        )
 
 
 def spectral_radius(a: np.ndarray) -> float:

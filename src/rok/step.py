@@ -121,16 +121,20 @@ def rok_step(
     vector instead of re-evaluating the RHS.  Pass f0 to override the
     stage-1 RHS when the basis was built from a different vector (used by
     the stability diagnostics, which probe unit states against a basis
-    built elsewhere).  Raises SingularMatrixError
-    if the reduced system cannot be factored and NonFiniteError if a stage
-    RHS produces NaN/Inf (the driver treats that as "step too large").
+    built elsewhere).  The reduced system is factored once, unless the
+    basis carries the factor at h*gamma that build_adaptive computed.
+    Raises SingularMatrixError if the reduced system cannot be factored
+    and NonFiniteError if a stage RHS produces NaN/Inf (the controller
+    treats that as "step too large").
     """
     tab = tableau
     gamma_full = tab.gamma_full
     stats = StepStats(basis_core=basis.core_size, hit_cap=basis.hit_cap)
     internals = StepInternals(y=y, h=h, tableau=tab, basis=basis)
 
-    fac = linalg.lu_factor(basis.h, h * tab.gamma)
+    fac = basis.fac
+    if fac is None or fac.hg != h * tab.gamma or fac.size != basis.size:
+        fac = linalg.lu_factor(basis.h, h * tab.gamma)
     lambdas: list[np.ndarray] = []
 
     def solve_stage(i, f_i, ks):

@@ -103,14 +103,37 @@ def test_adaptive_hits_cap():
     assert basis.hit_cap
 
 
-def test_adaptive_stops_at_test_indices():
+def test_adaptive_stops_at_first_passing_size():
+    # Brute force on the Hessenberg matrix of a fixed build of the same
+    # Arnoldi process: the adaptive size is the first size i whose dense
+    # first-stage solve passes the residual test.
     rng = np.random.default_rng(16)
-    prob = make_random_nonlinear(50, rng, stiffness=10.0)
-    y = rng.standard_normal(50)
-    f = prob.f(y)
-    basis = arnoldi.build_adaptive(prob, y, f, 0.05, 0.5, 1e-8, m_max=48)
-    if not basis.hit_cap and basis.h_next != 0.0:
-        assert basis.size in arnoldi.DEFAULT_TEST_INDICES
+    h, gamma = 0.05, 0.5
+    sizes = set()
+    for _ in range(6):
+        prob = make_random_nonlinear(50, rng, stiffness=10.0)
+        y = rng.standard_normal(50)
+        f = prob.f(y)
+        full = arnoldi.build_fixed(prob, y, f, 48)
+        hfull = full.state.h
+        for tol in (1e-4, 1e-6, 1e-8, 1e-10):
+            resids = []
+            for i in range(1, 49):
+                lam1 = np.linalg.solve(np.eye(i) - h * gamma * hfull[:i, :i],
+                                       h * full.beta * np.eye(i)[0])
+                resids.append(abs(h * gamma * hfull[i, i - 1]) * abs(lam1[-1]))
+            resids = np.array(resids)
+            if np.any(np.abs(resids - tol) <= 1e-6 * tol):
+                continue  # too close to call
+            basis = arnoldi.build_adaptive(prob, y, f, h, gamma, tol, m_max=48)
+            passing = np.flatnonzero(resids <= tol)
+            if passing.size == 0:
+                assert basis.hit_cap and basis.size == 48
+                continue
+            assert basis.size == passing[0] + 1
+            assert not basis.hit_cap
+            sizes.add(basis.size)
+    assert len(sizes) >= 4
 
 
 def test_extend_keeps_orthonormality_and_extended_recurrence():

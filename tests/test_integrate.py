@@ -210,20 +210,32 @@ def test_direct_step_reports_a_singular_stage_matrix(tab):
 
 def test_benchmark_hook_points_see_every_step(tab, monkeypatch):
     # perfbench/spans.py traces a run by replacing these module attributes;
-    # the driver must call through them on every attempt.
+    # the integrator must call through them on every attempt.  An adaptive
+    # basis carries the factor of its stopping test, so lu_factor runs only
+    # where a step refactorizes after a failed append or finds no factor.
     calls = Counter()
 
-    def counting(owner, name):
+    def counting(owner, name, on_result=None):
         fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if on_result is not None:
+                on_result(result)
+            return result
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counting(importlib.import_module("rok.integrate"), "rok_step")  # rok.integrate is the function
-    for name in ("build_adaptive", "build_fixed", "extend"):
+    def stepped(res):
+        calls["refactorized"] += int(res.stats.refactorized)
+
+    def built(basis):
+        calls["built_without_factor"] += int(basis.fac is None)
+
+    counting(importlib.import_module("rok.integrate"), "rok_step", stepped)  # rok.integrate is the function
+    counting(arnoldi, "build_adaptive", built)
+    for name in ("build_fixed", "extend"):
         counting(arnoldi, name)
     for name in ("lu_factor", "lu_solve", "lu_append_column"):
         counting(linalg, name)
@@ -238,12 +250,13 @@ def test_benchmark_hook_points_see_every_step(tab, monkeypatch):
         attempts = stats.accepted + stats.rejected
         assert stats.rejected > 0
         assert calls["rok_step"] == attempts
-        assert calls["lu_factor"] >= attempts
         assert calls["lu_solve"] >= tab.s * attempts
         if isinstance(strategy, FixedBasis):
+            assert calls["lu_factor"] >= attempts
             assert calls["build_fixed"] == stats.accepted  # a retry keeps the basis
             assert calls["build_adaptive"] == 0
         else:
+            assert calls["lu_factor"] == calls["refactorized"] + calls["built_without_factor"]
             assert calls["build_adaptive"] == attempts  # a retry reruns the stopping test
             assert calls["build_fixed"] == 0
         if extend:

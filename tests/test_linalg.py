@@ -1,7 +1,8 @@
-"""Reduced-system LU factorization, column-append update, spectral radius."""
+"""Reduced-system LU factorization, column-append and progressive updates, spectral radius."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rok import linalg
 from rok.errors import DimensionMismatchError, SingularMatrixError
@@ -125,6 +126,65 @@ def test_lu_solve_shape_check():
     fac = linalg.lu_factor(np.array([[0.5]]), 0.1)
     with pytest.raises(DimensionMismatchError):
         linalg.lu_solve(fac, np.zeros(2))
+
+
+def grow(hess, hg, rhs0):
+    """Yield a ProgressiveLU after each column of the (m+1) x m Hessenberg hess."""
+    plu = linalg.ProgressiveLU(hg, hess.shape[1], rhs0)
+    for i in range(1, hess.shape[1] + 1):
+        plu.append(hess[: i + 1, i - 1])
+        yield i, plu
+
+
+def test_progressive_lu_matches_getrf_of_every_leading_block():
+    # Oracle: scipy's getrf and getrs on each leading i x i block.  Large hg
+    # lets the subdiagonal win many pivots, so rows also interchange at
+    # consecutive columns and L entries travel down more than one row.
+    rng = np.random.default_rng(60)
+    swaps, runs = {}, 0
+    for hg in (1e-6, 1e-4, 1e-2, 1.0, 1e2):
+        swaps[hg] = 0
+        for _ in range(4):
+            m = 30
+            hess = np.triu(rng.standard_normal((m + 1, m)), -1)
+            rhs0 = rng.standard_normal()
+            for i, plu in grow(hess, hg, rhs0):
+                a = np.eye(i) - hg * hess[:i, :i]
+                lu, piv = scipy.linalg.lu_factor(a)
+                x = scipy.linalg.lu_solve((lu, piv), rhs0 * np.eye(i)[0])
+                assert abs(plu.last_entry() - x[-1]) <= 1e-12 * abs(x[-1])
+                fac = plu.factorization()
+                assert fac.size == i and fac.hg == hg
+                assert np.array_equal(fac.piv, piv)
+                assert fac.scale == np.max(np.abs(a))
+                b = rng.standard_normal(i)
+                ref = linalg.lu_solve(linalg.lu_factor(hess[:i, :i], hg), b)
+                assert np.max(np.abs(linalg.lu_solve(fac, b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+            swapped = fac.piv != np.arange(m)
+            swaps[hg] += int(np.count_nonzero(swapped))
+            runs += int(np.count_nonzero(swapped[1:] & swapped[:-1]))
+    assert swaps[1e-6] == 0
+    assert swaps[1.0] > 0 and swaps[1e2] > 0
+    assert runs > 0
+
+
+def test_progressive_lu_reports_singular_blocks_like_lu_factor():
+    # a_00 = 1 - hg*h_00 is exactly zero, so the 1 x 1 block is singular;
+    # the 2 x 2 block interchanges its rows and is regular.  A zero
+    # subdiagonal below the zero pivot keeps every larger block singular.
+    hg = 0.5
+    for sub, regular_from in ((1.0, 2), (0.0, None)):
+        hess = np.array([[2.0, 1.0, 0.3], [sub, 1.0, 0.2], [0.0, 0.7, 3.0], [0.0, 0.0, 0.4]])
+        for i, plu in grow(hess, hg, 1.0):
+            if regular_from is None or i < regular_from:
+                with pytest.raises(SingularMatrixError):
+                    linalg.lu_factor(hess[:i, :i], hg)
+                assert plu.last_entry() is None and plu.factorization() is None
+            else:
+                fac = linalg.lu_factor(hess[:i, :i], hg)
+                x = linalg.lu_solve(fac, np.eye(i)[0])
+                assert plu.last_entry() == pytest.approx(x[-1], rel=1e-12)
+                assert np.array_equal(plu.factorization().piv, fac.piv)
 
 
 def test_spectral_radius_known_values():

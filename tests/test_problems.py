@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rok.errors import JvpFailureError
 from rok.problems import (
     AllenCahnSpec,
+    _laplacian_1d,
     OdeProblem,
     get_problem,
     make_allen_cahn,
@@ -80,6 +82,26 @@ def test_sparse_jacobian_matches_dense():
     prob = make_allen_cahn(AllenCahnSpec(nx=6, ny=5, alpha=0.3))
     y = prob.y0
     assert np.allclose(prob.sparse_jacobian(y).toarray(), prob.jacobian(y), atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_allen_cahn_dia_products_equal_csr_products(n):
+    # The Laplacian is stored by diagonals; its products must round exactly
+    # as the CSR products of the same matrix, and the sparse Jacobian must
+    # keep the CSR assembly's nonzeros.
+    alpha, gam = 1.0, 1.0
+    prob = make_allen_cahn(AllenCahnSpec(nx=n, ny=n, alpha=alpha, gamma_rc=gam))
+    lap = (alpha * sp.kronsum(_laplacian_1d(n, 1.0 / n), _laplacian_1d(n, 1.0 / n))).tocsr()
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        u, v = rng.standard_normal((2, n * n))
+        assert np.array_equal(prob.f(u), lap @ u + gam * (u - u**3))
+        assert np.array_equal(prob.jv(u, v), lap @ v + gam * (1.0 - 3.0 * u**2) * v)
+    jac = prob.sparse_jacobian(u)
+    ref = sp.csc_matrix(lap + sp.diags(gam * (1.0 - 3.0 * u**2)))
+    assert jac.nnz == ref.nnz == 5 * n * n - 4 * n
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(jac, attr), getattr(ref, attr))
 
 
 def test_allen_cahn_constant_field_has_zero_diffusion():

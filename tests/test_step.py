@@ -1,10 +1,12 @@
 """Single-step behavior: reduced-space stages, extension, residual forms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from rok import arnoldi, step
+from rok import arnoldi, linalg, step
 from rok.errors import NonFiniteError
 from rok.problems import OdeProblem
 
@@ -182,3 +184,68 @@ def test_extension_stats_and_growth(tab):
     assert res.stats.basis_core == 5
     assert res.stats.basis_total == 5 + res.stats.extensions
     assert res.stats.extensions >= 1
+
+
+def count_lu_factor(monkeypatch):
+    calls = []
+    original = linalg.lu_factor
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "lu_factor", counting)
+    return calls
+
+
+def test_adaptive_step_reuses_the_stopping_test_factor(tab, monkeypatch):
+    # The first-stage system of the step is the system the stopping test
+    # solved, so the step factors nothing and reports the residual the
+    # test passed (its RHS V^T f is beta e_1 up to rounding).
+    rng = np.random.default_rng(50)
+    calls = count_lu_factor(monkeypatch)
+    h, tol = 0.05, 1e-6
+    capped = 0
+    for m_max in (48, 48, 48, 48, 2, 2):
+        prob = make_random_nonlinear(40, rng, stiffness=10.0)
+        y = rng.standard_normal(40)
+        basis = arnoldi.build_adaptive(prob, y, prob.f(y), h, tab.gamma, tol, m_max)
+        assert basis.fac is not None and basis.fac.size == basis.size
+        capped += basis.hit_cap
+        calls.clear()
+        res = step.rok_step(prob, y, h, tab, basis)
+        assert not calls
+        m = basis.size
+        lam1 = np.linalg.solve(np.eye(m) - h * tab.gamma * basis.h, h * basis.beta * np.eye(m)[0])
+        tested = abs(h * tab.gamma * basis.h_next) * abs(lam1[-1])
+        assert res.stats.first_stage_residual == pytest.approx(tested, rel=1e-12)
+        if not basis.hit_cap:
+            assert res.stats.first_stage_residual <= tol * (1.0 + 1e-12)
+        ext = step.rok_step(prob, y, h, tab, basis, extend=True)
+        assert ext.stats.extensions > 0
+        assert len(calls) == int(ext.stats.refactorized)
+    assert 0 < capped < 6
+
+
+def test_step_refactors_a_basis_whose_factor_does_not_fit(tab, monkeypatch):
+    # At another h, or with a factor of another size, the step must give
+    # exactly what a fresh lu_factor gives.
+    rng = np.random.default_rng(51)
+    prob = make_random_nonlinear(40, rng, stiffness=10.0)
+    y = rng.standard_normal(40)
+    h = 0.05
+    basis = arnoldi.build_adaptive(prob, y, prob.f(y), h, tab.gamma, 1e-6, 48)
+    bare = replace(basis, fac=None)
+    reused = step.rok_step(prob, y, h, tab, basis).y_new
+    fresh = step.rok_step(prob, y, h, tab, bare).y_new
+    assert np.max(np.abs(reused - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+    calls = count_lu_factor(monkeypatch)
+    other = step.rok_step(prob, y, 0.5 * h, tab, basis).y_new
+    assert len(calls) == 1
+    assert np.array_equal(other, step.rok_step(prob, y, 0.5 * h, tab, bare).y_new)
+    grown = arnoldi.extend(basis, prob, y, rng.standard_normal(40))
+    assert grown.size == basis.size + 1 and grown.fac is None
+    calls.clear()
+    mismatched = step.rok_step(prob, y, h, tab, replace(grown, fac=basis.fac)).y_new
+    assert len(calls) == 1
+    assert np.array_equal(mismatched, step.rok_step(prob, y, h, tab, grown).y_new)
