@@ -8,11 +8,19 @@ projected Jacobian H = V^T J V together with the overflow pair
 
 The basis vectors are the rows of one preallocated C-contiguous array, so
 one pass of orthogonalizing a new vector against all of them is two
-matrix-vector products.  The kernel is classical Gram-Schmidt with one
-reorthogonalization (CGS2): two passes of c = Q z, z -= Q^T c are enough
-to keep the basis orthonormal to working precision (Daniel, Gragg,
-Kaufman and Stewart 1976; Giraud, Langou and Rozloznik 2005).
-KrylovBasis.v is the (n, M) transposed view of those rows.
+matrix-vector products (c = Q z, z -= c^T Q).  Each Arnoldi vector J q_i
+first gets a local pass against q_{i-1} and q_i, then one full pass, and
+a second full pass only when the DGKS test (Daniel, Gragg, Kaufman and
+Stewart 1976) finds that the full pass removed more than half of what
+was left.  For symmetric J the local pass is the Lanczos three-term step,
+which carries almost all of the cancellation, so the full pass keeps
+nearly the whole vector and the DGKS test lets it stand: two sweeps of
+the basis per vector (Simon 1984).  For any other J the local pass is
+merely a cheap first step; the full pass and, where it cancels, the
+DGKS pass are classical Gram-Schmidt with reorthogonalization, which
+keeps the basis orthonormal to working precision whatever J is (Giraud,
+Langou and Rozloznik 2005).  KrylovBasis.v is the (n, M) transposed view
+of those rows.
 
 build_adaptive tests the first-stage residual at every basis size and
 stops at the first size that passes.  It factors I - h*gamma*H_i for each
@@ -117,17 +125,34 @@ class KrylovBasis:
         return self.beta * self.v[:, 0]
 
 
-def _orthogonalize(z: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """CGS2: orthogonalize z against the orthonormal rows of q.
+def _orthogonalize(z: np.ndarray, q: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Orthogonalize z against the orthonormal rows of q.
 
-    Returns the remainder (a new array; z is not modified), the summed
-    projection coefficients of both passes, and the remainder norm."""
+    A local pass projects out rows lo: first, then one full pass
+    c = Q z, z -= c^T Q follows, and a second full pass runs only when the
+    DGKS test asks for it: when the full pass removed more than half of
+    the energy of z, that is (by Pythagoras, with eta = 1/sqrt(2)) when
+    ||c|| > ||z_after||.  A full pass that keeps most of z leaves a
+    remainder orthogonal to q to working precision, and one that cancels
+    is repeated, so the result does not rest on where the local pass
+    left z and holds for any J.  lo = 0 makes the local pass a full one,
+    for vectors that lie nearly in the span.  Returns the remainder (a
+    new array; z is not modified), the summed projection coefficients of
+    every pass, and the remainder norm.  np.dot keeps the products in
+    BLAS also for a one-row q, where c^T @ q does not.
+    """
     coeffs = np.zeros(q.shape[0])
+    c = np.dot(q[lo:], z)
+    z = z - np.dot(c, q[lo:])
+    coeffs[lo:] += c
     for _ in range(2):
-        c = q @ z
-        z = z - q.T @ c
+        c = np.dot(q, z)
+        z = z - np.dot(c, q)
         coeffs += c
-    return z, coeffs, float(np.linalg.norm(z))
+        znorm = float(np.linalg.norm(z))
+        if np.linalg.norm(c) <= znorm:
+            break
+    return z, coeffs, znorm
 
 
 class _ArnoldiState:
@@ -157,7 +182,7 @@ class _ArnoldiState:
         i = self.m
         q = self.rows.q
         zeta = self.problem.jv(self.y, q[i])
-        zeta, coeffs, hnorm = _orthogonalize(zeta, q[: i + 1])
+        zeta, coeffs, hnorm = _orthogonalize(zeta, q[: i + 1], max(0, i - 1))
         self.h[: i + 1, i] = coeffs
         self.h[i + 1, i] = hnorm
         self.m = i + 1
@@ -273,7 +298,7 @@ def extend(basis: KrylovBasis, problem, y: np.ndarray, w: np.ndarray) -> KrylovB
     if wnorm == 0.0:
         return basis
     m = basis.size
-    rem, _, remnorm = _orthogonalize(w, basis.v.T)
+    rem, _, remnorm = _orthogonalize(w, basis.v.T, 0)
     if remnorm <= DROP_REL_TOL * wnorm:
         return basis
     vbar = rem / remnorm

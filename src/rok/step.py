@@ -9,7 +9,10 @@ rok_step solves each stage in the reduced space of a Krylov basis (V, H):
 
     psi_i    = V^T F_i
     (I - h*gamma*H) lambda_i = h psi_i + h H sum_{j<i} gamma_ij lambda_j
-    k_i      = V lambda_i + h (F_i - V psi_i)
+    k_i      = V lambda_i + h (F_i - V psi_i) = V (lambda_i - h psi_i) + h F_i
+
+F_1 is the basis start vector beta v_1 unless the caller overrides it,
+so psi_1 = beta e_1 exactly and k_1 = V lambda_1.
 
 With the extension variant, the basis is extended with F_i before
 stage i is solved, the reduced factorization grows by a column append,
@@ -154,7 +157,12 @@ def rok_step(
 
         m = basis.size
         v = basis.v
-        psi = v.T @ f_i
+        start = i == 0 and f0 is None
+        if start:  # F_1 is beta v_1, so psi_1 = beta e_1 exactly
+            psi = np.zeros(m)
+            psi[0] = basis.beta
+        else:
+            psi = v.T @ f_i
         acc = np.zeros(m)
         for j in range(i):
             acc += gamma_full[i, j] * _padded(lambdas[j], m)
@@ -166,7 +174,9 @@ def rok_step(
             internals.psi_stages.append(psi)
         if i == 0:
             stats.first_stage_residual = arnoldi.first_stage_residual_norm(h, tab.gamma, basis, lam)
-        return v @ lam + h * (f_i - v @ psi)
+        if start:
+            return v @ lam
+        return v @ (lam - h * psi) + h * f_i
 
     f1 = basis.start_vector if f0 is None else np.asarray(f0, dtype=float)
     y_new, y_embedded, ks = run_stages(problem, y, tab, f1, solve_stage)

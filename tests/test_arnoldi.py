@@ -237,7 +237,7 @@ def test_selective_reorthogonalization_keeps_tiny_loss():
 
 def _mgs_arnoldi(jv, f, m):
     """Column-oriented modified Gram-Schmidt Arnoldi with one
-    reorthogonalization pass: the oracle for the row-major CGS2 kernel."""
+    reorthogonalization pass: the oracle for the row-major kernel."""
     v = np.zeros((f.size, m + 1))
     h = np.zeros((m + 1, m))
     v[:, 0] = f / np.linalg.norm(f)
@@ -297,6 +297,56 @@ def test_kernel_matches_mgs_oracle_in_krylov_regime():
     assert np.max(np.abs(basis.v.T @ basis.v - np.eye(m + 2))) <= 1e-12
     assert np.max(np.abs(basis.v - v_ref)) <= 1e-10
     assert np.max(np.abs(basis.h - h_ref)) <= 1e-10 * np.max(np.abs(h_ref))
+
+
+def test_kernel_extra_pass_restores_orthogonality_for_nonnormal_jacobian():
+    # J = U T U^T with T unit lower bidiagonal plus one entry 1e8 at
+    # (0, m-1): the Krylov basis from U e_0 is U's first columns (up to
+    # sign), and J q_{m-1} = 1e8 q_0 + q_{m-1} + q_m lies almost wholly on
+    # a row the two-row local pass does not touch.  One full pass leaves an
+    # error of eps * 1e8 in the remainder's projection; the DGKS pass
+    # removes it.
+    n, m = 200, 10
+    rng = np.random.default_rng(31)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    t = np.eye(n) + np.diag(np.ones(n - 1), -1)
+    t[0, m - 1] = 1e8
+    jac = u @ t @ u.T
+    prob = make_linear(jac)
+    q = arnoldi.build_fixed(prob, prob.y0, u[:, 0], m).v.T
+    rem, coeffs, remnorm = arnoldi._orthogonalize(jac @ q[-1], q, m - 2)
+    assert remnorm == pytest.approx(1.0, rel=1e-6)
+    assert abs(coeffs[0]) == pytest.approx(1e8, rel=1e-12)
+    assert np.linalg.norm(q @ rem) <= 1e-14 * np.linalg.norm(rem)
+
+
+def test_kernel_keeps_allen_cahn_basis_orthonormal_at_128():
+    # Symmetric J at N = 16384 and the benchmark's cap of 48 vectors,
+    # where the kernel runs the local pass and one full pass per vector.
+    prob = make_allen_cahn(AllenCahnSpec(128, 128, alpha=1.0))
+    y = prob.y0
+    m = 48
+    basis = arnoldi.build_fixed(prob, y, prob.f(y), m)
+    v, h = basis.v, basis.h
+    assert np.max(np.abs(v.T @ v - np.eye(m))) <= 1e-14
+    jv = np.column_stack([prob.jv(y, v[:, k]) for k in range(m)])
+    resid = jv - v @ h
+    resid[:, -1] -= basis.h_next * basis.v_next
+    assert np.linalg.norm(resid) <= 1e-14 * np.linalg.norm(jv)
+    assert np.max(np.abs(np.triu(h, 2))) <= 1e-13 * np.max(np.abs(h))
+
+
+def test_kernel_on_one_row_basis_is_one_projection():
+    rng = np.random.default_rng(32)
+    n = 16384
+    q0 = rng.standard_normal(n)
+    q0 /= np.linalg.norm(q0)
+    z = rng.standard_normal(n)
+    rem, coeffs, remnorm = arnoldi._orthogonalize(z, q0[None, :], 0)
+    ref = z - (q0 @ z) * q0
+    assert np.linalg.norm(rem - ref) <= 1e-15 * np.linalg.norm(ref)
+    assert coeffs[0] == pytest.approx(q0 @ z, rel=1e-12)
+    assert remnorm == pytest.approx(np.linalg.norm(ref), rel=1e-15)
 
 
 @pytest.mark.parametrize("h_first,h_again", [(1e-2, 5e-3), (5e-3, 1e-2), (1e-1, 5e-2)])

@@ -8,7 +8,7 @@ import scipy.linalg
 
 from rok import arnoldi, linalg, step
 from rok.errors import NonFiniteError
-from rok.problems import OdeProblem
+from rok.problems import AllenCahnSpec, OdeProblem, make_allen_cahn
 
 import oracles
 from conftest import make_random_nonlinear
@@ -249,3 +249,24 @@ def test_step_refactors_a_basis_whose_factor_does_not_fit(tab, monkeypatch):
     mismatched = step.rok_step(prob, y, h, tab, replace(grown, fac=basis.fac)).y_new
     assert len(calls) == 1
     assert np.array_equal(mismatched, step.rok_step(prob, y, h, tab, grown).y_new)
+
+
+@pytest.mark.parametrize("resid_tol", [1e-4, 1e-6])
+def test_first_stage_residual_is_the_tested_residual(tab, resid_tol):
+    # Without f0, F_1 is the basis start vector beta v_1, so psi_1 is
+    # beta e_1 exactly and the step reports the residual the stopping test
+    # computed, recomputed here by the same progressive elimination.
+    prob = make_allen_cahn(AllenCahnSpec(32, 32, alpha=1.0))
+    y = prob.y0
+    f = prob.f(y)
+    for h in (1e-5, 1e-4, 1e-3, 1e-2):
+        basis = arnoldi.build_adaptive(prob, y, f, h, tab.gamma, resid_tol, 48)
+        m = basis.size
+        lu = linalg.ProgressiveLU(h * tab.gamma, m, h * basis.beta)
+        for i in range(1, m + 1):
+            lu.append(basis.state.h[: i + 1, i - 1])
+        tested = abs(h * tab.gamma * basis.h_next) * abs(lu.last_entry())
+        res = step.rok_step(prob, y, h, tab, basis)
+        assert res.stats.first_stage_residual == pytest.approx(tested, rel=1e-12, abs=0.0)
+        if not basis.hit_cap:
+            assert res.stats.first_stage_residual <= resid_tol * (1.0 + 1e-12)
