@@ -14,6 +14,7 @@ import argparse
 import configparser
 import csv
 import io
+import re
 import sys
 import time
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arnoldi, reference, stability
-from .errors import NonFiniteError, StepSizeUnderflowError
+from .errors import JvpFailureError, NonFiniteError, StepSizeUnderflowError
 from .integrate import (
     AdaptiveResidual,
     AdaptiveResidualMatchTol,
@@ -30,7 +31,7 @@ from .integrate import (
     integrate,
 )
 from .problems import get_problem
-from .tableau import default_tableau, load_tableau
+from .tableau import TableauError, default_tableau, load_tableau
 
 SWEEP_CSV_HEADER = [
     "problem", "strategy", "tol", "error", "accepted", "rejected",
@@ -39,8 +40,6 @@ SWEEP_CSV_HEADER = [
 ]
 
 STABILITY_CSV_HEADER = ["h", "rho_classic", "rho_effective", "M"]
-
-INTEGRATOR_KEYS = {"rtol", "atol", "strategy", "h_init", "h_min", "h_max", "m_max", "tableau"}
 
 DEFAULT_CONFIG = """\
 [problem]
@@ -80,6 +79,22 @@ h_points = 25
 h_low = 1e-3
 h_high = 1e1
 """
+
+
+# A run that ends in one of these is a failed run (exit 1, or a sweep cell
+# with converged=false), not a crash.
+RUN_FAILURES = (StepSizeUnderflowError, NonFiniteError, JvpFailureError)
+
+
+def _section_keys() -> dict[str, set[str]]:
+    """The keys of each DEFAULT_CONFIG section, its commented optional keys
+    included; [problem] is left out, as the problem factory checks its keys."""
+    cp = configparser.ConfigParser()
+    cp.read_string(re.sub(r"^# (\w+ =)", r"\1", DEFAULT_CONFIG, flags=re.MULTILINE))
+    return {name: set(cp[name]) for name in cp.sections() if name != "problem"}
+
+
+SECTION_KEYS = _section_keys()
 
 
 class ConfigError(ValueError):
@@ -134,6 +149,10 @@ def load_config(path) -> configparser.ConfigParser:
                 cp.add_section(section)
             for key, value in user.items(section):
                 cp.set(section, key, value)
+    for section, keys in SECTION_KEYS.items():
+        unknown = sorted(set(cp[section]) - keys)
+        if unknown:
+            raise ConfigError(f"[{section}]: unknown key(s) {', '.join(unknown)}")
     return cp
 
 
@@ -162,17 +181,14 @@ def _tableau_from_config(cp):
     path = cp.get("integrator", "tableau", fallback=None)
     if path is None:
         return default_tableau()
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"tableau file {p} does not exist")
-    return load_tableau(p)
+    try:
+        return load_tableau(path)
+    except (OSError, TableauError) as exc:
+        raise ConfigError(f"[integrator] tableau {path}: {exc}") from exc
 
 
 def _integrator_config(cp, rtol=None, atol=None, strategy_label=None) -> IntegratorConfig:
     sec = cp["integrator"]
-    unknown = sorted(set(sec) - INTEGRATOR_KEYS)
-    if unknown:
-        raise ConfigError(f"[integrator]: unknown key(s) {', '.join(unknown)}")
     label = strategy_label if strategy_label is not None else sec.get("strategy", "M=4")
     strat, extend = parse_strategy(label)
     try:
@@ -206,7 +222,7 @@ def cmd_run(args) -> int:
     t0, tf = problem.t_span
     try:
         sol = integrate(problem, t0, tf, problem.y0, tab, cfg)
-    except (StepSizeUnderflowError, NonFiniteError) as exc:
+    except RUN_FAILURES as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1
     s = sol.stats
@@ -230,7 +246,7 @@ def _run_sweep_cell(cp, tab, strategy_label: str, tol: float, y_ref, timing: boo
     try:
         sol = integrate(problem, t0, tf, problem.y0, tab, cfg)
         converged = True
-    except (StepSizeUnderflowError, NonFiniteError):
+    except RUN_FAILURES:
         sol = None
         converged = False
     wall = time.perf_counter() - start if timing else 0.0

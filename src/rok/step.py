@@ -14,10 +14,11 @@ rok_step solves each stage in the reduced space of a Krylov basis (V, H):
 F_1 is the basis start vector beta v_1 unless the caller overrides it,
 so psi_1 = beta e_1 exactly and k_1 = V lambda_1.
 
-With the extension variant, the basis is extended with F_i before
-stage i is solved, the reduced factorization grows by a column append,
-and earlier lambda_j are zero-padded; the correction term F_i - V psi_i
-then vanishes by construction.
+With the extension variant, the basis is extended with each new F_i
+(tab.evaluates_f; a reused F is in the span already) before stage i is
+solved, the reduced factorization grows by a column append, and earlier
+lambda_j are zero-padded; the correction term F_i - V psi_i then
+vanishes by construction.
 
 direct_step solves (I - h*gamma*A) k_i = h F_i + h A sum_{j<i} gamma_ij k_j
 with one sparse LU: the full-space step with A = J, and the step with any
@@ -86,16 +87,17 @@ def _padded(vec: np.ndarray, size: int) -> np.ndarray:
 def run_stages(problem, y: np.ndarray, tab: Tableau, f1: np.ndarray, solve_stage):
     """The Rosenbrock stage recursion shared by every step.
 
-    Stage i evaluates F_i = f(y + sum_{j<i} alpha_ij k_j), with F_1 = f1
-    given and F reused when an alpha row repeats the previous one, and
-    solve_stage(i, F_i, ks) returns k_i from F_i and the earlier stages ks.
+    Stage i evaluates F_i = f(y + sum_{j<i} alpha_ij k_j) where
+    tab.evaluates_f says so; F_1 = f1 is given, and a stage whose alpha
+    row repeats the previous one reuses its F.  solve_stage(i, F_i, ks)
+    returns k_i from F_i and the earlier stages ks.
     Returns (y + sum b_i k_i, y + sum b_hat_i k_i, ks).  Raises
     NonFiniteError if a stage RHS or either result is not finite.
     """
     ks: list[np.ndarray] = []
     f_i = f1
     for i in range(tab.s):
-        if i > 0 and not np.array_equal(tab.alpha[i], tab.alpha[i - 1]):
+        if tab.evaluates_f[i]:
             f_i = problem.f(y + sum(tab.alpha[i, j] * ks[j] for j in range(i)))
             if not np.all(np.isfinite(f_i)):
                 raise NonFiniteError(f"stage {i + 1} RHS is not finite")
@@ -142,7 +144,7 @@ def rok_step(
 
     def solve_stage(i, f_i, ks):
         nonlocal basis, fac
-        if extend and i > 0:
+        if extend and tab.evaluates_f[i]:
             grown = arnoldi.extend(basis, problem, y, f_i)
             if grown.size > basis.size:
                 try:

@@ -12,20 +12,33 @@ decimal or rational values::
     b 1 8/27
     b_hat 1 16/27
 
-alpha/gamma_lower records are "name i j value" with 1-based stage indices
-and i > j (strict lower triangle); b/b_hat records are "name i value".
+Each record is its name, its 1-based stage indices and one value, and a
+line holds exactly those tokens (RECORD_INDICES gives the index count):
+s, order, embedded_order (integers) and gamma take none; b and b_hat
+take the stage i; alpha and gamma_lower take i and j with i > j (strict
+lower triangle).  A rational is one token: 12/25, not 12 / 25.  Text
+after '#' is a comment.
+
+Tableau.evaluates_f says which stages call f: stage 1 uses f(y), which
+the caller supplies, and a stage whose alpha row repeats the previous
+stage's reuses that stage's F.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 DEFAULT_TABLEAU_RESOURCE = "ros4s.tab"
+
+RECORD_INDICES = {"s": 0, "order": 0, "embedded_order": 0, "gamma": 0,
+                  "b": 1, "b_hat": 1, "alpha": 2, "gamma_lower": 2}
+INTEGER_RECORDS = ("s", "order", "embedded_order")
 
 
 class TableauError(ValueError):
@@ -51,20 +64,25 @@ class Tableau:
     embedded_order: int
     name: str = "tableau"
 
-    _gamma_full: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_gamma_full", self.gamma_lower + self.gamma * np.eye(self.s))
-
-    @property
+    @cached_property
     def gamma_full(self) -> np.ndarray:
         """Lower-triangular gamma matrix including the diagonal."""
-        return self._gamma_full
+        return self.gamma_lower + self.gamma * np.eye(self.s)
 
-    @property
+    @cached_property
     def beta(self) -> np.ndarray:
         """alpha + gamma_full, the matrix entering the classical stability function."""
         return self.alpha + self.gamma_full
+
+    @cached_property
+    def evaluates_f(self) -> tuple[bool, ...]:
+        """Per stage: whether it evaluates f at an argument of its own.
+
+        False for stage 1, whose F is f(y), and for a stage whose alpha
+        row equals the previous one, which reuses the previous F.
+        """
+        return (False,) + tuple(not np.array_equal(self.alpha[i], self.alpha[i - 1])
+                                for i in range(1, self.s))
 
     def validate(self) -> None:
         for name, mat in (("alpha", self.alpha), ("gamma_lower", self.gamma_lower)):
@@ -89,73 +107,48 @@ class Tableau:
 def _parse_value(token: str) -> float:
     try:
         return float(Fraction(token))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise TableauError(f"cannot parse coefficient value {token!r}") from exc
 
 
 def parse_tableau(text: str, name: str = "tableau") -> Tableau:
-    scalars: dict[str, float] = {}
-    matrix_records: dict[str, list[tuple[int, int, float]]] = {"alpha": [], "gamma_lower": []}
-    vector_records: dict[str, dict[int, float]] = {"b": {}, "b_hat": {}}
-
+    records: dict[str, dict[tuple, float]] = {key: {} for key in RECORD_INDICES}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        parts = line.split()
-        key = parts[0]
+        key, *args = tokens
+        if key not in RECORD_INDICES:
+            raise TableauError(f"line {lineno}: unknown record {key!r}")
+        if len(args) != RECORD_INDICES[key] + 1:
+            raise TableauError(f"line {lineno}: {key} takes {RECORD_INDICES[key]} "
+                               f"stage indices and one value, got {raw.strip()!r}")
         try:
-            if key in ("s", "order", "embedded_order"):
-                scalars[key] = int(parts[1])
-            elif key == "gamma":
-                scalars[key] = _parse_value(parts[1])
-            elif key in matrix_records:
-                i, j = int(parts[1]), int(parts[2])
-                matrix_records[key].append((i, j, _parse_value(parts[3])))
-            elif key in vector_records:
-                vector_records[key][int(parts[1])] = _parse_value(parts[2])
-            else:
-                raise TableauError(f"unknown record {key!r}")
-        except (IndexError, ValueError) as exc:
-            raise TableauError(f"line {lineno}: malformed record {raw!r}") from exc
+            index = tuple(int(a) for a in args[:-1])
+            records[key][index] = int(args[-1]) if key in INTEGER_RECORDS else _parse_value(args[-1])
+        except ValueError as exc:
+            raise TableauError(f"line {lineno}: malformed record {raw.strip()!r}: {exc}") from exc
 
-    for req in ("s", "order", "embedded_order", "gamma"):
-        if req not in scalars:
-            raise TableauError(f"missing required record {req!r}")
-    s = int(scalars["s"])
+    scalars = {key: records.pop(key).get(()) for key in ("s", "order", "embedded_order", "gamma")}
+    for key, value in scalars.items():
+        if value is None:
+            raise TableauError(f"missing required record {key!r}")
+    s = scalars["s"]
     if s < 1:
         raise TableauError("stage count must be >= 1")
-
-    mats = {}
-    for mname, records in matrix_records.items():
-        mat = np.zeros((s, s))
-        for i, j, val in records:
-            if not (1 <= j < i <= s):
-                raise TableauError(f"{mname} index ({i},{j}) outside the strict lower triangle")
-            mat[i - 1, j - 1] = val
-        mats[mname] = mat
-    vecs = {}
-    for vname, records in vector_records.items():
-        vec = np.zeros(s)
-        for i, val in records.items():
-            if not 1 <= i <= s:
-                raise TableauError(f"{vname} index {i} out of range")
-            vec[i - 1] = val
-        vecs[vname] = vec
-    if not vector_records["b_hat"]:
+    if not records["b_hat"]:
         raise TableauError("tableau lacks embedded weights (b_hat); the error controller requires them")
 
-    tab = Tableau(
-        s=s,
-        alpha=mats["alpha"],
-        gamma_lower=mats["gamma_lower"],
-        gamma=float(scalars["gamma"]),
-        b=vecs["b"],
-        b_hat=vecs["b_hat"],
-        order=int(scalars["order"]),
-        embedded_order=int(scalars["embedded_order"]),
-        name=name,
-    )
+    arrays = {key: np.zeros((s,) * RECORD_INDICES[key]) for key in records}
+    for key, entries in records.items():
+        for index, value in entries.items():
+            # stages in 1..s, and i > j for the strict lower triangle
+            if not (index[0] <= s and index[-1] >= 1 and all(i > j for i, j in zip(index, index[1:]))):
+                raise TableauError(f"{key} index {index} outside the stages 1..{s}"
+                                   + (" or the strict lower triangle" if len(index) == 2 else ""))
+            arrays[key][tuple(i - 1 for i in index)] = value
+
+    tab = Tableau(name=name, **scalars, **arrays)
     tab.validate()
     return tab
 

@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -117,6 +118,10 @@ def test_bad_integrator_value_is_a_config_error(tmp_path, capsys, key, value):
     ("sweep", "reference", "rk4_steps", "0"),
     ("reference", "reference", "rk4_steps", "x"),
     ("reference", "reference", "rtol", "-1"),
+    ("sweep", "sweep", "tolerance", "1e-3"),  # unknown keys from here on
+    ("sweep", "sweep", "strategy", "M=1"),
+    ("reference", "reference", "rk4step", "10"),
+    ("stability", "stability", "stifness", "4.0"),
 ])
 def test_bad_section_value_is_a_config_error(tmp_path, capsys, command, section, key, value):
     cp = configparser.ConfigParser()
@@ -197,6 +202,24 @@ def test_run_with_bad_tableau_path(tmp_path, capsys):
     assert "tableau" in capsys.readouterr().err
 
 
+def test_run_with_malformed_tableau_file_is_a_config_error(tmp_path, capsys):
+    tab_path = write(tmp_path, "s 2\norder 2\n", name="bad.tab")
+    cfg = DAHLQUIST_RUN + f"tableau = {tab_path}\n"
+    assert cli.main(["--config", str(write(tmp_path, cfg)), "run"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "bad.tab" in err
+
+
+def test_run_with_tableau_file_matches_the_default(tmp_path, capsys):
+    packaged = resources.files("rok").joinpath("tableaus", "ros4s.tab").read_text()
+    tab_path = write(tmp_path, packaged, name="copy.tab")
+    assert cli.main(["--config", str(write(tmp_path, DAHLQUIST_RUN)), "run"]) == 0
+    default_out = capsys.readouterr().out
+    cfg = DAHLQUIST_RUN + f"tableau = {tab_path}\n"
+    assert cli.main(["--config", str(write(tmp_path, cfg, name="c2.ini")), "run"]) == 0
+    assert capsys.readouterr().out == default_out
+
+
 def test_run_reports_convergence_failure(tmp_path, capsys):
     register_problem("cli-poisoned", lambda: make_poisoned_problem("cli-poisoned"))
     cfg = DAHLQUIST_RUN.replace("name = dahlquist", "name = cli-poisoned")
@@ -217,6 +240,32 @@ def test_run_reports_non_finite_rhs(tmp_path, capsys):
     assert cli.main(["--config", str(write(tmp_path, cfg)), "run"]) == 1
     err = capsys.readouterr().err
     assert "FAILED" in err and "not finite" in err
+
+
+def _register_nan_jvp(name):
+    register_problem(name, lambda: OdeProblem(
+        dim=2, rhs=lambda y: -y, jvp=lambda y, v: np.full(2, np.nan), name=name,
+        y0=np.ones(2), t_span=(0.0, 1.0)))
+
+
+def test_run_reports_jvp_failure(tmp_path, capsys):
+    _register_nan_jvp("cli-nan-jvp")
+    cfg = DAHLQUIST_RUN.replace("name = dahlquist", "name = cli-nan-jvp")
+    assert cli.main(["--config", str(write(tmp_path, cfg)), "run"]) == 1
+    err = capsys.readouterr().err
+    assert "FAILED" in err and "jvp returned non-finite values" in err
+
+
+def test_sweep_records_jvp_failure_as_failure():
+    _register_nan_jvp("cli-sweep-nan-jvp")
+    cp = cli.load_config(None)
+    cp.remove_section("problem")
+    cp.add_section("problem")
+    cp.set("problem", "name", "cli-sweep-nan-jvp")
+    row = cli._run_sweep_cell(cp, default_tableau(), "M=2", 1e-4,
+                              y_ref=np.ones(2), timing=False)
+    assert row["converged"] == "false"
+    assert row["error"] == ""
 
 
 def test_sweep_records_non_finite_rhs_as_failure():

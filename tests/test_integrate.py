@@ -260,7 +260,7 @@ def test_benchmark_hook_points_see_every_step(tab, monkeypatch):
             assert calls["build_adaptive"] == attempts  # a retry reruns the stopping test
             assert calls["build_fixed"] == 0
         if extend:
-            assert calls["extend"] == (tab.s - 1) * attempts
+            assert calls["extend"] == sum(tab.evaluates_f) * attempts  # new stage RHS only
             assert calls["lu_append_column"] >= stats.extensions > 0
         else:
             assert calls["extend"] == calls["lu_append_column"] == 0

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from rok import arnoldi, linalg, step
-from rok.errors import NonFiniteError
+from rok.errors import NonFiniteError, SingularMatrixError
 from rok.problems import AllenCahnSpec, OdeProblem, make_allen_cahn
 
 import oracles
@@ -218,7 +218,7 @@ def test_adaptive_step_reuses_the_stopping_test_factor(tab, monkeypatch):
         m = basis.size
         lam1 = np.linalg.solve(np.eye(m) - h * tab.gamma * basis.h, h * basis.beta * np.eye(m)[0])
         tested = abs(h * tab.gamma * basis.h_next) * abs(lam1[-1])
-        assert res.stats.first_stage_residual == pytest.approx(tested, rel=1e-12)
+        assert res.stats.first_stage_residual == pytest.approx(tested, rel=1e-12, abs=0.0)
         if not basis.hit_cap:
             assert res.stats.first_stage_residual <= tol * (1.0 + 1e-12)
         ext = step.rok_step(prob, y, h, tab, basis, extend=True)
@@ -249,6 +249,38 @@ def test_step_refactors_a_basis_whose_factor_does_not_fit(tab, monkeypatch):
     mismatched = step.rok_step(prob, y, h, tab, replace(grown, fac=basis.fac)).y_new
     assert len(calls) == 1
     assert np.array_equal(mismatched, step.rok_step(prob, y, h, tab, grown).y_new)
+
+
+
+def test_extended_step_refactors_when_the_append_fails(tab, monkeypatch):
+    # When the bordered append reports a singular pivot, the step factors
+    # the grown H from scratch, once per failed append, and gets the same
+    # step as the append would have.
+    rng = np.random.default_rng(52)
+    prob = make_random_nonlinear(40, rng, stiffness=10.0)
+    y = rng.standard_normal(40)
+    h = 0.05
+    basis = arnoldi.build_adaptive(prob, y, prob.f(y), h, tab.gamma, 1e-6, 48)
+    plain = step.rok_step(prob, y, h, tab, basis, extend=True)
+    assert plain.stats.extensions > 0 and not plain.stats.refactorized
+
+    failed = []
+
+    def singular(*args):
+        failed.append(args)
+        raise SingularMatrixError("forced")
+
+    monkeypatch.setattr(linalg, "lu_append_column", singular)
+    calls = count_lu_factor(monkeypatch)
+    forced = step.rok_step(prob, y, h, tab, basis, extend=True, keep_internals=True)
+    assert forced.stats.refactorized
+    assert forced.stats.extensions == plain.stats.extensions == len(failed) == len(calls)
+    grown_h = forced.internals.basis.h
+    for k, (hmat, hg) in enumerate(calls, start=1):
+        size = basis.size + k
+        assert np.array_equal(hmat, grown_h[:size, :size]) and hg == h * tab.gamma
+    scale = np.max(np.abs(plain.y_new))
+    assert np.max(np.abs(forced.y_new - plain.y_new)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("resid_tol", [1e-4, 1e-6])

@@ -1,5 +1,7 @@
 """Tableau parsing, validation, and properties of the packaged method."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,43 @@ def test_comments_and_blank_lines_ignored():
 def test_malformed_tableaus_rejected(mutation):
     with pytest.raises(TableauError):
         parse_tableau(mutation(MINIMAL))
+
+
+def ros4s_text():
+    return resources.files("rok").joinpath("tableaus", "ros4s.tab").read_text()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("s 2", "s 2 extra"),  # extra token after a value
+    ("alpha 2 1 1", "alpha 2 1 1 9"),
+])
+def test_record_with_extra_token_names_its_line(old, new):
+    lineno = MINIMAL.splitlines().index(old) + 1
+    with pytest.raises(TableauError, match=f"line {lineno}:"):
+        parse_tableau(MINIMAL.replace(old, new))
+
+
+def test_split_rational_names_its_line():
+    # "12 / 25" is three tokens; reading the first as the value would give 12
+    text = ros4s_text()
+    lineno = text.splitlines().index("alpha 3 1 12/25") + 1
+    with pytest.raises(TableauError, match=f"line {lineno}:"):
+        parse_tableau(text.replace("alpha 3 1 12/25", "alpha 3 1 12 / 25"))
+
+
+def test_overflowing_value_is_a_tableau_error():
+    with pytest.raises(TableauError, match="1e400"):
+        parse_tableau(MINIMAL.replace("b 1 1/2", "b 1 1e400"))
+
+
+def test_unknown_record_is_named():
+    with pytest.raises(TableauError, match="unknown record 'bogus'"):
+        parse_tableau(MINIMAL + "bogus 1 2 3\n")
+
+
+def test_ros4s_evaluates_f_in_stages_two_and_three_only():
+    # stage 1 takes f(y) from the caller, stage 4 repeats stage 3's alpha row
+    assert default_tableau().evaluates_f == (False, True, True, False)
 
 
 def test_gamma_full_and_beta():
