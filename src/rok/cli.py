@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import arnoldi, reference, stability
+from . import arnoldi, linalg, reference, stability
 from .errors import JvpFailureError, NonFiniteError, StepSizeUnderflowError
 from .integrate import (
     AdaptiveResidual,
@@ -140,12 +140,13 @@ def load_config(path) -> configparser.ConfigParser:
         except configparser.Error as exc:
             raise ConfigError(f"config parse error in {p}: {exc}") from exc
         for section in user.sections():
+            if not cp.has_section(section):
+                raise ConfigError(f"{p}: unknown section [{section}]")
             # [problem] keys are forwarded verbatim to the problem factory,
             # so a user-selected problem replaces the default section
             # outright instead of inheriting the default grid parameters.
-            if section == "problem" and cp.has_section(section):
+            if section == "problem":
                 cp.remove_section(section)
-            if not cp.has_section(section):
                 cp.add_section(section)
             for key, value in user.items(section):
                 cp.set(section, key, value)
@@ -378,19 +379,20 @@ def cmd_stability(args) -> int:
         raise ConfigError(f"[stability]: {exc}") from exc
     problem = get_problem("linear-random", n=n, seed=seed, stiffness=stiffness)
     jac = problem.jacobian(problem.y0)
-    h_grid = np.geomspace(h_low, h_high, h_points)
+    h_grid = np.geomspace(h_low, h_high, h_points).tolist()
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(STABILITY_CSV_HEADER)
     f0 = problem.f(problem.y0)
+    rho_classic = [linalg.spectral_radius(stability.transfer_matrix_analytic(jac, jac, tab, h))
+                   for h in h_grid]
     for m in m_list:
         basis = arnoldi.build_fixed(problem, problem.y0, f0, m)
         a = stability.basis_approximation(basis)
-        for h in h_grid:
-            rep = stability.stability_report(jac, a, tab, float(h), basis_size=basis.size)
-            writer.writerow([_fmt(float(h)), _fmt(rep.rho_classic),
-                             _fmt(rep.rho_effective), basis.size])
+        for h, rho in zip(h_grid, rho_classic):
+            rho_effective = linalg.spectral_radius(stability.transfer_matrix_analytic(jac, a, tab, h))
+            writer.writerow([_fmt(h), _fmt(rho), _fmt(rho_effective), basis.size])
     out = Path(args.out) if args.out else Path("stability.csv")
     out.write_text(buf.getvalue(), encoding="utf-8")
     print(f"wrote stability scan to {out}")

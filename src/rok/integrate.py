@@ -194,6 +194,8 @@ def control(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
             f0 = None
         else:
             stats.rejected += 1
+        # The step's stage record holds its basis; free it before the next build.
+        res = None
 
         if math.isinf(err):
             factor = 0.5
@@ -237,7 +239,7 @@ def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
 
 
 def integrate_fixed(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
-                    n_steps: int, m: int | None = None, extend: bool = False) -> np.ndarray:
+                    n_steps: int, m: int | None = None) -> np.ndarray:
     """Fixed-step integration with a fixed basis size (full space if m is None).
 
     Used for order studies and reference cross-validation; no error control.
@@ -250,5 +252,5 @@ def integrate_fixed(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tabl
         if np.linalg.norm(f0) <= arnoldi.ZERO_START_THRESHOLD:
             continue
         basis = arnoldi.build_fixed(problem, y, f0, m_eff)
-        y = rok_step(problem, y, h, tableau, basis, extend=extend).y_new
+        y = rok_step(problem, y, h, tableau, basis).y_new
     return y

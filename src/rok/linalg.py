@@ -100,14 +100,14 @@ def lu_append_column(
     fac: HessenbergFactorization,
     new_column_top: np.ndarray,
     h_diag_new: float,
-    new_row_left: np.ndarray | None = None,
+    new_row_left: np.ndarray,
 ) -> HessenbergFactorization:
     """Grow the factorization by one basis vector without refactoring.
 
     new_column_top holds h_{1..M,M+1} of the grown matrix, h_diag_new is
-    h_{M+1,M+1}, and new_row_left (optional, defaults to zero) holds
-    h_{M+1,1..M}.  The bordered update with the existing permutation kept
-    frozen is
+    h_{M+1,M+1}, and new_row_left holds h_{M+1,1..M} (zero under the core
+    Arnoldi block of an extended basis, nonzero under appended columns).
+    The bordered update with the existing permutation kept frozen is
 
         u_{1..M,M+1} = -hg * L^{-1} P h_{1..M,M+1},
         l_{M+1,1..M}^T = (-hg * h_{M+1,1..M})^T U^{-1},
@@ -119,18 +119,15 @@ def lu_append_column(
     should refactorize fully.
     """
     new_column_top = np.asarray(new_column_top, dtype=float)
+    new_row_left = np.asarray(new_row_left, dtype=float)
     m = fac.size
     if new_column_top.shape != (m,):
         raise DimensionMismatchError(f"column has shape {new_column_top.shape}, expected ({m},)")
+    if new_row_left.shape != (m,):
+        raise DimensionMismatchError(f"row has shape {new_row_left.shape}, expected ({m},)")
     a_col = -fac.hg * new_column_top
     u_col = _forward(fac.lu, fac.piv, a_col)
-    if new_row_left is not None:
-        new_row_left = np.asarray(new_row_left, dtype=float)
-        if new_row_left.shape != (m,):
-            raise DimensionMismatchError(f"row has shape {new_row_left.shape}, expected ({m},)")
-        l_row = lapack.dtrtrs(fac.lu.T, -fac.hg * new_row_left, lower=1)[0]
-    else:
-        l_row = np.zeros(m)
+    l_row = lapack.dtrtrs(fac.lu.T, -fac.hg * new_row_left, lower=1)[0]
     diag = (1.0 - fac.hg * h_diag_new) - float(l_row @ u_col)
     scale = max(fac.scale, float(np.max(np.abs(a_col))), abs(diag))
     if abs(diag) <= _pivot_threshold(scale):

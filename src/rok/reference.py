@@ -47,6 +47,8 @@ def read_reference(path) -> tuple[np.ndarray, dict]:
 
 def rk4_integrate(problem, t0: float, tf: float, y0: np.ndarray, n_steps: int) -> np.ndarray:
     """Classical fixed-step RK4; the independent cross-validation oracle."""
+    if n_steps < 1:
+        raise ValueError(f"rk4 needs n_steps >= 1, got {n_steps}")
     y = np.asarray(y0, dtype=float).copy()
     h = (tf - t0) / n_steps
     for _ in range(n_steps):
@@ -75,8 +77,9 @@ def compute_reference(problem, t0: float, tf: float, y0: np.ndarray, tab: Tablea
                       cross_tol: float = 1e-9) -> np.ndarray:
     """Full-space reference, cross-validated against step-halving RK4.
 
-    Raises ValueError when the RK4 oracle at rk4_steps and 2*rk4_steps
-    disagrees with the reference beyond cross_tol (relative L2).
+    Raises ValueError when rk4_steps < 1, or when the RK4 oracle at
+    rk4_steps and 2*rk4_steps disagrees with the reference beyond
+    cross_tol (relative L2).
     """
     y_ref = full_space_integrate(problem, t0, tf, y0, tab, rtol=rtol, atol=atol)
     scale = np.linalg.norm(y_ref)

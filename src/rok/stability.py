@@ -8,33 +8,23 @@ the effective transfer matrix from the s-stage block system
     y_{n+1} = y_n + (b^T x I) K,
 
 splits it as R_eff = R + S where R is the classical stability matrix
-(A = J) and S the stage stability term, and reports the spectral radii
-of R and R_eff.  Everything here materializes Kronecker blocks densely
-and is meant for small diagnostic problems only.
+(A = J) and S the stage stability term.  The stability scan (rok
+stability) takes linalg.spectral_radius of transfer_matrix_analytic with
+A = J and with A = V H V^T.  Everything here materializes Kronecker
+blocks densely and is meant for small diagnostic problems only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import arnoldi as _arnoldi
-from .linalg import spectral_radius
 from .problems import make_linear
 from .step import direct_step, rok_step
 from .tableau import Tableau
 
 #: Dense block assembly guard: refuse N*s beyond this.
 MAX_BLOCK_DIM = 2000
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    rho_classic: float
-    rho_effective: float
-    h: float
-    basis_size: int
 
 
 def _check_sizes(jac: np.ndarray, a: np.ndarray, tableau: Tableau) -> int:
@@ -55,13 +45,6 @@ def _stage_system(jac, a, tableau, h):
     n = jac.shape[0]
     s = tableau.s
     return np.eye(n * s) - np.kron(tableau.alpha, h * jac) - np.kron(tableau.gamma_full, h * a)
-
-
-def _stage_supervector(jac, a, tableau, h, y):
-    """K solving the block stage system for initial state y."""
-    s = tableau.s
-    rhs = np.tile(h * (jac @ y), s)
-    return np.linalg.solve(_stage_system(jac, a, tableau, h), rhs)
 
 
 def transfer_matrix_analytic(jac: np.ndarray, a: np.ndarray, tableau: Tableau, h: float) -> np.ndarray:
@@ -113,7 +96,7 @@ def stage_stability_term(jac: np.ndarray, a: np.ndarray, tableau: Tableau, h: fl
     """
     n = _check_sizes(jac, a, tableau)
     s = tableau.s
-    k = _stage_supervector(jac, a, tableau, h, y)
+    k = np.linalg.solve(_stage_system(jac, a, tableau, h), np.tile(h * (jac @ y), s))
     mid = np.kron(tableau.gamma_full, jac - a) @ k
     g_beta = np.eye(n * s) - np.kron(tableau.beta, h * jac)
     w = np.linalg.solve(g_beta, h * mid)
@@ -121,11 +104,3 @@ def stage_stability_term(jac: np.ndarray, a: np.ndarray, tableau: Tableau, h: fl
     for i in range(s):
         out -= tableau.b[i] * w[i * n : (i + 1) * n]
     return out
-
-
-def stability_report(jac: np.ndarray, a: np.ndarray, tableau: Tableau, h: float,
-                     basis_size: int = 0) -> StabilityReport:
-    rho_classic = spectral_radius(transfer_matrix_analytic(jac, jac, tableau, h))
-    rho_effective = spectral_radius(transfer_matrix_analytic(jac, a, tableau, h))
-    return StabilityReport(rho_classic=rho_classic, rho_effective=rho_effective,
-                           h=h, basis_size=basis_size)

@@ -26,14 +26,15 @@ stage matrix A for the stability diagnostics.
 
 The residual of stage i is its defect in the full-space stage equation
 k_i = h F_i + h J sum_j gamma_ij k_j.  stage_residual_formula evaluates
-it in closed form, for plain and extended steps alike, from the extended
+it in closed form, for plain and extended steps alike, from the stage
+record (StepInternals) that every rok_step result carries and the extended
 Arnoldi relation: the out-of-span parts of the stage RHS vectors, the
 Arnoldi overflow pair, and the out-of-span part of J on appended vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,7 +47,6 @@ from .tableau import Tableau
 
 @dataclass
 class StepStats:
-    basis_core: int = 0
     basis_total: int = 0
     extensions: int = 0
     first_stage_residual: float = 0.0
@@ -56,16 +56,21 @@ class StepStats:
 
 @dataclass
 class StepInternals:
-    """Per-stage data retained for residual diagnostics."""
+    """Per-stage data of a Krylov step, read by the residual diagnostics.
+
+    It holds references to arrays the step computes anyway, the final
+    basis included, so a caller that keeps a StepResult keeps that basis
+    alive.  direct_step results carry no record.
+    """
 
     y: np.ndarray
     h: float
     tableau: Tableau
     basis: arnoldi.KrylovBasis
-    lambdas: list = field(default_factory=list)
-    f_stages: list = field(default_factory=list)
-    psi_stages: list = field(default_factory=list)
-    k_stages: list = field(default_factory=list)
+    lambdas: list
+    f_stages: list
+    psi_stages: list
+    k_stages: list
 
 
 @dataclass
@@ -117,7 +122,6 @@ def rok_step(
     tableau: Tableau,
     basis: arnoldi.KrylovBasis,
     extend: bool = False,
-    keep_internals: bool = False,
     f0: np.ndarray | None = None,
 ) -> StepResult:
     """Advance one step of size h from y using a prebuilt Krylov basis.
@@ -130,17 +134,19 @@ def rok_step(
     basis carries the factor at h*gamma that build_adaptive computed.
     Raises SingularMatrixError if the reduced system cannot be factored
     and NonFiniteError if a stage RHS produces NaN/Inf (the controller
-    treats that as "step too large").
+    treats that as "step too large").  The result's internals hold the
+    stage record that stage_residual_formula reads.
     """
     tab = tableau
     gamma_full = tab.gamma_full
-    stats = StepStats(basis_core=basis.core_size, hit_cap=basis.hit_cap)
-    internals = StepInternals(y=y, h=h, tableau=tab, basis=basis)
+    stats = StepStats(hit_cap=basis.hit_cap)
 
     fac = basis.fac
     if fac is None or fac.hg != h * tab.gamma or fac.size != basis.size:
         fac = linalg.lu_factor(basis.h, h * tab.gamma)
     lambdas: list[np.ndarray] = []
+    f_stages: list[np.ndarray] = []
+    psi_stages: list[np.ndarray] = []
 
     def solve_stage(i, f_i, ks):
         nonlocal basis, fac
@@ -171,9 +177,8 @@ def rok_step(
         lam = linalg.lu_solve(fac, h * psi + h * (basis.h @ acc))
 
         lambdas.append(lam)
-        if keep_internals:
-            internals.f_stages.append(f_i)
-            internals.psi_stages.append(psi)
+        f_stages.append(f_i)
+        psi_stages.append(psi)
         if i == 0:
             stats.first_stage_residual = arnoldi.first_stage_residual_norm(h, tab.gamma, basis, lam)
         if start:
@@ -184,16 +189,8 @@ def rok_step(
     y_new, y_embedded, ks = run_stages(problem, y, tab, f1, solve_stage)
 
     stats.basis_total = basis.size
-    if keep_internals:
-        internals.basis = basis
-        internals.lambdas = lambdas
-        internals.k_stages = ks
-    return StepResult(
-        y_new=y_new,
-        y_embedded=y_embedded,
-        stats=stats,
-        internals=internals if keep_internals else None,
-    )
+    internals = StepInternals(y, h, tab, basis, lambdas, f_stages, psi_stages, ks)
+    return StepResult(y_new=y_new, y_embedded=y_embedded, stats=stats, internals=internals)
 
 
 def direct_step(problem, y: np.ndarray, f0: np.ndarray, h: float, tableau: Tableau,
@@ -218,7 +215,7 @@ def direct_step(problem, y: np.ndarray, f0: np.ndarray, h: float, tableau: Table
 
     y_new, y_embedded, _ = run_stages(problem, y, tableau, f0, solve_stage)
     return StepResult(y_new=y_new, y_embedded=y_embedded,
-                      stats=StepStats(basis_core=n, basis_total=n))
+                      stats=StepStats(basis_total=n))
 
 
 def stage_residual_formula(problem, internals: StepInternals, i: int) -> np.ndarray:

@@ -16,7 +16,8 @@ Each record is its name, its 1-based stage indices and one value, and a
 line holds exactly those tokens (RECORD_INDICES gives the index count):
 s, order, embedded_order (integers) and gamma take none; b and b_hat
 take the stage i; alpha and gamma_lower take i and j with i > j (strict
-lower triangle).  A rational is one token: 12/25, not 12 / 25.  Text
+lower triangle).  A rational is one token: 12/25, not 12 / 25.  Each
+entry is set by one record; a second record for it is an error.  Text
 after '#' is a comment.
 
 Tableau.evaluates_f says which stages call f: stage 1 uses f(y), which
@@ -125,9 +126,12 @@ def parse_tableau(text: str, name: str = "tableau") -> Tableau:
                                f"stage indices and one value, got {raw.strip()!r}")
         try:
             index = tuple(int(a) for a in args[:-1])
-            records[key][index] = int(args[-1]) if key in INTEGER_RECORDS else _parse_value(args[-1])
+            value = int(args[-1]) if key in INTEGER_RECORDS else _parse_value(args[-1])
         except ValueError as exc:
             raise TableauError(f"line {lineno}: malformed record {raw.strip()!r}: {exc}") from exc
+        if index in records[key]:
+            raise TableauError(f"line {lineno}: {raw.strip()!r} sets an entry that is already set")
+        records[key][index] = value
 
     scalars = {key: records.pop(key).get(()) for key in ("s", "order", "embedded_order", "gamma")}
     for key, value in scalars.items():

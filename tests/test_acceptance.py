@@ -50,8 +50,8 @@ def _trial_steps(n_trials, seed):
         h = float(rng.uniform(0.01, 0.2))
         f = prob.f(y)
         basis = arnoldi.build_fixed(prob, y, f, m)
-        plain = step.rok_step(prob, y, h, TAB, basis, keep_internals=True)
-        extended = step.rok_step(prob, y, h, TAB, basis, extend=True, keep_internals=True)
+        plain = step.rok_step(prob, y, h, TAB, basis)
+        extended = step.rok_step(prob, y, h, TAB, basis, extend=True)
         yield prob, plain, extended
 
 
@@ -144,7 +144,7 @@ def test_criterion_5_full_basis_degeneracy():
         h = float(rng.uniform(0.02, 0.2))
         f = prob.f(y)
         basis = arnoldi.build_fixed(prob, y, f, n)
-        res = step.rok_step(prob, y, h, TAB, basis, keep_internals=True)
+        res = step.rok_step(prob, y, h, TAB, basis)
         # dense oracle with the exact Jacobian
         jac = prob.jacobian(y)
         lu = scipy.linalg.lu_factor(np.eye(n) - h * TAB.gamma * jac)

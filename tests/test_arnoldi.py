@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rok import arnoldi, linalg
+from rok import arnoldi, linalg, step
 from rok.errors import ZeroStartVectorError
 from rok.problems import AllenCahnSpec, make_allen_cahn, make_linear
 from rok.tableau import default_tableau
@@ -53,6 +53,30 @@ def test_happy_breakdown_on_invariant_subspace():
     assert basis.size == 2
     assert basis.h_next == 0.0
     assert basis.v_next is None
+
+
+def test_adaptive_build_stops_at_happy_breakdown():
+    # f = J y lies in a 3-dimensional invariant subspace of the diagonal J,
+    # and no size passes resid_tol = 1e-300 before the breakdown at size 3
+    tab = default_tableau()
+    jac = np.diag(-np.arange(1.0, 11))
+    prob = make_linear(jac)
+    y = np.zeros(10)
+    y[[1, 4, 7]] = 1.0
+    f = prob.f(y)
+    h = 0.1
+    basis = arnoldi.build_adaptive(prob, y, f, h, tab.gamma, 1e-300, 8)
+    assert basis.size == 3
+    assert basis.h_next == 0.0
+    assert basis.v_next is None
+    assert not basis.hit_cap
+    fresh = linalg.lu_factor(basis.h, h * tab.gamma)
+    assert np.array_equal(basis.fac.piv, fresh.piv) and basis.fac.hg == fresh.hg
+    assert np.max(np.abs(basis.fac.lu - fresh.lu)) <= 3e-17
+    krylov = step.rok_step(prob, y, h, tab, basis)
+    full = step.direct_step(prob, y, f, h, tab, jac)
+    for a, b in ((krylov.y_new, full.y_new), (krylov.y_embedded, full.y_embedded)):
+        assert np.max(np.abs(a - b)) <= np.finfo(float).eps  # 1.1e-16 measured, |y| < 1
 
 
 def test_zero_start_vector_raises():

@@ -122,6 +122,7 @@ def test_bad_integrator_value_is_a_config_error(tmp_path, capsys, key, value):
     ("sweep", "sweep", "strategy", "M=1"),
     ("reference", "reference", "rk4step", "10"),
     ("stability", "stability", "stifness", "4.0"),
+    ("run", "integrater", "rtol", "1e-2"),  # unknown section
 ])
 def test_bad_section_value_is_a_config_error(tmp_path, capsys, command, section, key, value):
     cp = configparser.ConfigParser()

@@ -84,6 +84,14 @@ def test_equilibrium_start_is_trivial(tab):
     assert sol.stats.rejected == 0
 
 
+def test_integrate_fixed_steps_over_an_equilibrium(tab):
+    prob = make_smooth_nonlinear()
+    y0 = np.zeros(2)  # equilibrium of the damped oscillator
+    y = integrate_fixed(prob, 0.0, 2.0, y0, tab, 8, m=2)
+    assert np.array_equal(y, y0)
+    assert (prob.n_rhs, prob.n_jvp) == (8, 0)  # one f(y) per step and no basis
+
+
 def test_step_size_underflow(tab):
     from conftest import make_poisoned_problem
 

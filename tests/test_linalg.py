@@ -84,7 +84,7 @@ def test_append_column_zero_row_matches_fresh_factorization():
         hg = float(rng.uniform(0.01, 0.3))
         big = random_hessenberg(m + 1, rng)
         fac = linalg.lu_factor(big[:m, :m], hg)
-        grown = linalg.lu_append_column(fac, big[:m, m], big[m, m])
+        grown = linalg.lu_append_column(fac, big[:m, m], big[m, m], np.zeros(m))
         target = big.copy()
         target[m, :m] = 0.0
         rhs = rng.standard_normal(m + 1)
@@ -111,13 +111,13 @@ def test_append_column_with_row_matches_fresh_factorization():
 def test_append_column_rejects_tiny_pivot():
     fac = linalg.lu_factor(np.array([[0.5]]), 0.1)
     with pytest.raises(SingularMatrixError):
-        linalg.lu_append_column(fac, np.array([0.3]), 10.0)  # 1 - 0.1*10 = 0
+        linalg.lu_append_column(fac, np.array([0.3]), 10.0, np.zeros(1))  # 1 - 0.1*10 = 0
 
 
 def test_append_column_shape_checks():
     fac = linalg.lu_factor(np.array([[0.5]]), 0.1)
     with pytest.raises(DimensionMismatchError):
-        linalg.lu_append_column(fac, np.zeros(2), 0.0)
+        linalg.lu_append_column(fac, np.zeros(2), 0.0, np.zeros(1))
     with pytest.raises(DimensionMismatchError):
         linalg.lu_append_column(fac, np.zeros(1), 0.0, np.zeros(3))
 

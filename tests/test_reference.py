@@ -48,6 +48,15 @@ def test_rk4_oracle_on_known_solution():
     assert abs(y[0] - np.exp(-1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_rk4_step_count_below_one_is_a_value_error(tab, n_steps):
+    prob = make_dahlquist(-1.0)
+    with pytest.raises(ValueError, match="n_steps"):
+        rk4_integrate(prob, 0.0, 1.0, np.array([1.0]), n_steps)
+    with pytest.raises(ValueError, match="n_steps"):
+        compute_reference(prob, 0.0, 1.0, np.array([1.0]), tab, rk4_steps=n_steps)
+
+
 def test_full_space_integration_matches_matrix_exponential(tab):
     rng = np.random.default_rng(70)
     a = rng.standard_normal((6, 6)) - 3.0 * np.eye(6)

@@ -32,7 +32,7 @@ def classical_rosenbrock_step(prob, y, h, tab):
 def run_step(prob, y, h, tab, m, extend=False):
     f = prob.f(y)
     basis = arnoldi.build_fixed(prob, y, f, m)
-    return step.rok_step(prob, y, h, tab, basis, extend=extend, keep_internals=True)
+    return step.rok_step(prob, y, h, tab, basis, extend=extend)
 
 
 def test_full_basis_matches_classical_rosenbrock(tab):
@@ -164,16 +164,16 @@ def test_nonfinite_stage_rhs_raises(tab):
         step.rok_step(prob, y, 0.1, tab, basis)
 
 
-def test_internals_only_kept_on_request(tab):
+def test_every_krylov_step_returns_its_stage_record(tab):
     rng = np.random.default_rng(48)
     prob = make_random_nonlinear(8, rng)
     y = rng.standard_normal(8)
     f = prob.f(y)
     basis = arnoldi.build_fixed(prob, y, f, 4)
-    assert step.rok_step(prob, y, 0.05, tab, basis).internals is None
-    kept = step.rok_step(prob, y, 0.05, tab, basis, keep_internals=True)
-    assert kept.internals is not None
-    assert len(kept.internals.k_stages) == tab.s
+    for extend in (False, True):
+        record = step.rok_step(prob, y, 0.05, tab, basis, extend=extend).internals
+        for stages in (record.k_stages, record.lambdas, record.f_stages, record.psi_stages):
+            assert len(stages) == tab.s
 
 
 def test_extension_stats_and_growth(tab):
@@ -181,7 +181,7 @@ def test_extension_stats_and_growth(tab):
     prob = make_random_nonlinear(25, rng)
     y = rng.standard_normal(25)
     res = run_step(prob, y, 0.05, tab, 5, extend=True)
-    assert res.stats.basis_core == 5
+    assert res.internals.basis.core_size == 5
     assert res.stats.basis_total == 5 + res.stats.extensions
     assert res.stats.extensions >= 1
 
@@ -272,7 +272,7 @@ def test_extended_step_refactors_when_the_append_fails(tab, monkeypatch):
 
     monkeypatch.setattr(linalg, "lu_append_column", singular)
     calls = count_lu_factor(monkeypatch)
-    forced = step.rok_step(prob, y, h, tab, basis, extend=True, keep_internals=True)
+    forced = step.rok_step(prob, y, h, tab, basis, extend=True)
     assert forced.stats.refactorized
     assert forced.stats.extensions == plain.stats.extensions == len(failed) == len(calls)
     grown_h = forced.internals.basis.h

@@ -1,5 +1,6 @@
 """Tableau parsing, validation, and properties of the packaged method."""
 
+import re
 from importlib import resources
 
 import numpy as np
@@ -144,3 +145,12 @@ def test_validate_rejects_nonlower_alpha():
     )
     with pytest.raises(TableauError):
         bad.validate()
+
+
+@pytest.mark.parametrize("record", ["s 2", "order 3", "embedded_order 1", "gamma 1/3",
+                                    "alpha 2 1 1", "gamma_lower 2 1 0", "b 1 1/4", "b_hat 1 1"])
+def test_repeated_record_names_its_line(record):
+    # each entry is set by one record; a repeat is an error even with the same value
+    lineno = len(MINIMAL.splitlines()) + 1
+    with pytest.raises(TableauError, match=f"line {lineno}: .*{re.escape(record)}"):
+        parse_tableau(MINIMAL + record + "\n")
