@@ -190,7 +190,7 @@ def _tableau_from_config(cp):
 
 def _integrator_config(cp, rtol=None, atol=None, strategy_label=None) -> IntegratorConfig:
     sec = cp["integrator"]
-    label = strategy_label if strategy_label is not None else sec.get("strategy", "M=4")
+    label = strategy_label if strategy_label is not None else sec["strategy"]
     strat, extend = parse_strategy(label)
     try:
         cfg = IntegratorConfig(
@@ -209,12 +209,6 @@ def _integrator_config(cp, rtol=None, atol=None, strategy_label=None) -> Integra
     return cfg
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def cmd_run(args) -> int:
     cp = _seeded_config(args)
     problem = _problem_from_config(cp)
@@ -228,7 +222,7 @@ def cmd_run(args) -> int:
         return 1
     s = sol.stats
     print(f"problem            {problem.name}")
-    print(f"strategy           {cfg.label()}")
+    print(f"strategy           {cp.get('integrator', 'strategy')}")
     print(f"t_final            {sol.t:g}")
     print(f"final_state_norm   {np.linalg.norm(sol.y):.12e}")
     print(f"accepted/rejected  {s.accepted}/{s.rejected}")
@@ -239,43 +233,35 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _run_sweep_cell(cp, tab, strategy_label: str, tol: float, y_ref, timing: bool):
-    problem = _problem_from_config(cp)
-    cfg = _integrator_config(cp, rtol=tol, atol=tol, strategy_label=strategy_label)
+def _run_sweep_cell(problem, tab, strategy_label: str, cfg, y_ref, timing: bool):
+    """One sweep CSV row: the run with cfg at tol = cfg.rtol, labelled strategy_label.
+
+    A failed run leaves error and the counts empty: a partial trajectory
+    gives no error value, and its counts are meaningless too.
+    """
+    row = dict.fromkeys(SWEEP_CSV_HEADER, "")
+    row.update(problem=problem.name, strategy=strategy_label, tol=cfg.rtol)
     t0, tf = problem.t_span
     start = time.perf_counter()
     try:
         sol = integrate(problem, t0, tf, problem.y0, tab, cfg)
-        converged = True
     except RUN_FAILURES:
         sol = None
-        converged = False
-    wall = time.perf_counter() - start if timing else 0.0
-    row = {
-        "problem": problem.name,
-        "strategy": strategy_label,
-        "tol": _fmt(tol),
-        "wall_seconds": _fmt(wall),
-        "converged": str(converged).lower(),
-    }
-    if converged:
+    row["wall_seconds"] = time.perf_counter() - start if timing else 0.0
+    row["converged"] = str(sol is not None).lower()
+    if sol is not None:
         err = np.linalg.norm(sol.y - y_ref) / max(np.linalg.norm(y_ref), 1e-300)
         s = sol.stats
         row.update(
-            error=_fmt(float(err)), accepted=s.accepted, rejected=s.rejected,
+            error=float(err), accepted=s.accepted, rejected=s.rejected,
             rhs_evals=s.rhs_evals, jvp_evals=s.jvp_evals,
-            mean_basis=_fmt(s.mean_basis), extensions=s.extensions,
+            mean_basis=s.mean_basis, extensions=s.extensions,
         )
-    else:
-        # No error value from a partial trajectory; counts are meaningless too.
-        row.update(error="", accepted="", rejected="", rhs_evals="",
-                   jvp_evals="", mean_basis="", extensions="")
     return row
 
 
-def _sweep_reference(cp, tab):
+def _sweep_reference(cp, problem, tab):
     """The state in the [sweep] reference file, else _compute_reference's."""
-    problem = _problem_from_config(cp)
     ref_path = cp.get("sweep", "reference", fallback=None)
     if ref_path is None:
         return _compute_reference(cp, problem, tab)
@@ -300,9 +286,7 @@ def _compute_reference(cp, problem, tab):
     try:
         settings = dict(rtol=sec.getfloat("rtol"), atol=sec.getfloat("atol"),
                         rk4_steps=sec.getint("rk4_steps"), cross_tol=sec.getfloat("cross_tol"))
-        if settings["rk4_steps"] < 1 or not all(
-                0.0 < settings[k] < np.inf for k in ("rtol", "atol", "cross_tol")):
-            raise ValueError("need rk4_steps >= 1 and finite rtol, atol, cross_tol > 0")
+        reference.check_settings(**settings)
     except ValueError as exc:
         raise ConfigError(f"[reference]: {exc}") from exc
     t0, tf = problem.t_span
@@ -315,28 +299,31 @@ def _compute_reference(cp, problem, tab):
 
 def cmd_sweep(args) -> int:
     cp = _seeded_config(args)
+    problem = _problem_from_config(cp)
     tab = _tableau_from_config(cp)
-    strategies = [s.strip() for s in cp.get("sweep", "strategies").split(",") if s.strip()]
+    sec = cp["sweep"]
+    strategies = [s.strip() for s in sec["strategies"].split(",") if s.strip()]
     try:
-        tolerances = [float(t) for t in cp.get("sweep", "tolerances").split(",") if t.strip()]
+        tolerances = [float(t) for t in sec["tolerances"].split(",") if t.strip()]
+        timing = sec.getboolean("timing")
     except ValueError as exc:
         raise ConfigError(f"[sweep]: {exc}") from exc
-    for s in strategies:  # every cell's settings are checked before any computation
-        for t in tolerances:
-            _integrator_config(cp, rtol=t, atol=t, strategy_label=s)
-    timing = cp.get("sweep", "timing", fallback="on").lower() not in ("off", "false", "0", "none")
-    y_ref = _sweep_reference(cp, tab)
+    if not (strategies and tolerances):
+        raise ConfigError("[sweep]: strategies and tolerances must not be empty")
+    # Every cell's settings are checked before any computation; cells run
+    # in (strategy, tol) order.
+    cells = [(s, _integrator_config(cp, rtol=t, atol=t, strategy_label=s))
+             for s in strategies for t in tolerances]
+    y_ref = _sweep_reference(cp, problem, tab)
     if y_ref is None:
         return 1
 
-    rows = [_run_sweep_cell(cp, tab, s, t, y_ref, timing)
-            for s in strategies for t in tolerances]
+    rows = [_run_sweep_cell(problem, tab, s, cfg, y_ref, timing) for s, cfg in cells]
 
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_CSV_HEADER, lineterminator="\n")
     writer.writeheader()
-    for row in rows:  # cells run in (strategy, tol) order
-        writer.writerow(row)
+    writer.writerows(rows)
     out = Path(args.out) if args.out else Path("sweep.csv")
     out.write_text(buf.getvalue(), encoding="utf-8")
     print(f"wrote {len(rows)} records to {out}")
@@ -392,7 +379,7 @@ def cmd_stability(args) -> int:
         a = stability.basis_approximation(basis)
         for h, rho in zip(h_grid, rho_classic):
             rho_effective = linalg.spectral_radius(stability.transfer_matrix_analytic(jac, a, tab, h))
-            writer.writerow([_fmt(h), _fmt(rho), _fmt(rho_effective), basis.size])
+            writer.writerow([h, rho, rho_effective, basis.size])
     out = Path(args.out) if args.out else Path("stability.csv")
     out.write_text(buf.getvalue(), encoding="utf-8")
     print(f"wrote stability scan to {out}")
@@ -426,26 +413,21 @@ def _parser() -> argparse.ArgumentParser:
     )
     after = _shared_options(argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("run", parents=[after], help="integrate once and print a summary")
-    sub.add_parser("sweep", parents=[after], help="work-precision sweep to CSV")
-    sub.add_parser("reference", parents=[after], help="compute and store a reference solution")
-    sub.add_parser("stability", parents=[after], help="spectral-radius scan to CSV")
-    sub.add_parser("defaults", parents=[after], help="print the default config")
+    for name, handler, text in (
+        ("run", cmd_run, "integrate once and print a summary"),
+        ("sweep", cmd_sweep, "work-precision sweep to CSV"),
+        ("reference", cmd_reference, "compute and store a reference solution"),
+        ("stability", cmd_stability, "spectral-radius scan to CSV"),
+        ("defaults", cmd_defaults, "print the default config"),
+    ):
+        sub.add_parser(name, parents=[after], help=text).set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-
-    handlers = {
-        "run": cmd_run,
-        "sweep": cmd_sweep,
-        "reference": cmd_reference,
-        "stability": cmd_stability,
-        "defaults": cmd_defaults,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

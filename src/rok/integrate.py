@@ -38,9 +38,6 @@ class FixedBasis:
 
     m: int
 
-    def label(self) -> str:
-        return f"M={self.m}"
-
 
 @dataclass(frozen=True)
 class AdaptiveResidual:
@@ -48,17 +45,11 @@ class AdaptiveResidual:
 
     resid_tol: float
 
-    def label(self) -> str:
-        return f"R={self.resid_tol:g}"
-
 
 @dataclass(frozen=True)
 class AdaptiveResidualMatchTol:
     """Residual-controlled basis size with the residual tolerance matched
     to the step controller's relative tolerance."""
-
-    def label(self) -> str:
-        return "R=tol"
 
 
 @dataclass
@@ -73,16 +64,12 @@ class IntegratorConfig:
     m_max: int = 48
 
     def validate(self) -> None:
-        if not (self.rtol > 0.0 and self.atol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if not (0.0 < self.h_min <= self.h_init <= self.h_max):
             raise ValueError("need 0 < h_min <= h_init <= h_max")
         if self.m_max < 1:
             raise ValueError("m_max must be at least 1")
-
-    def label(self) -> str:
-        suffix = "+ext" if self.extend_with_stage_rhs else ""
-        return self.basis_strategy.label() + suffix
 
 
 @dataclass
@@ -113,8 +100,16 @@ def _error_norm(y_new, y_embedded, rtol, atol):
 
 
 def _build_basis(problem, y, f, h, tableau, config, previous=None):
+    """The basis for a step of size h from y, where f = f(y).
+
+    previous is the basis of the rejected last attempt from this y: a fixed
+    basis is returned as it is, and an adaptive one reruns only its
+    stopping test at the new h.
+    """
     strategy = config.basis_strategy
     if isinstance(strategy, FixedBasis):
+        if previous is not None:
+            return previous
         return arnoldi.build_fixed(problem, y, f, strategy.m)
     if isinstance(strategy, AdaptiveResidual):
         resid_tol = strategy.resid_tol
@@ -222,17 +217,13 @@ def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
     small a fixed basis on stiff problems), and NonFiniteError when f is
     not finite at the start of a step.
     """
-    fixed = isinstance(config.basis_strategy, FixedBasis)
     basis = None  # kept across rejections: K(J(y), f(y)) does not depend on h
 
     def krylov_step(y, f0, h, retry):
         nonlocal basis
         if not retry:
             basis = None  # free the last state's basis before allocating the next
-            basis = _build_basis(problem, y, f0, h, tableau, config)
-        elif not fixed:
-            # Only the adaptive stopping index moves with h.
-            basis = _build_basis(problem, y, f0, h, tableau, config, previous=basis)
+        basis = _build_basis(problem, y, f0, h, tableau, config, previous=basis)
         return rok_step(problem, y, h, tableau, basis, extend=config.extend_with_stage_rhs)
 
     return control(problem, t0, tf, y0, tableau, config, krylov_step)

@@ -72,15 +72,24 @@ def full_space_integrate(problem, t0: float, tf: float, y0: np.ndarray, tab: Tab
     return control(problem, t0, tf, y0, tab, config, step).y
 
 
+def check_settings(rtol: float, atol: float, rk4_steps: int, cross_tol: float) -> None:
+    """Raise ValueError unless rk4_steps >= 1 and rtol, atol and cross_tol
+    are finite and positive."""
+    if rk4_steps < 1 or not all(0.0 < x < np.inf for x in (rtol, atol, cross_tol)):
+        raise ValueError("need rk4_steps (RK4 n_steps) >= 1 and finite rtol, atol, cross_tol > 0")
+
+
 def compute_reference(problem, t0: float, tf: float, y0: np.ndarray, tab: Tableau,
                       rtol: float = 1e-12, atol: float = 1e-12, rk4_steps: int = 20000,
                       cross_tol: float = 1e-9) -> np.ndarray:
     """Full-space reference, cross-validated against step-halving RK4.
 
-    Raises ValueError when rk4_steps < 1, or when the RK4 oracle at
-    rk4_steps and 2*rk4_steps disagrees with the reference beyond
+    Raises ValueError, before any evaluation of f, when check_settings
+    rejects the settings, and after the integrations when the RK4 oracle
+    at rk4_steps and 2*rk4_steps disagrees with the reference beyond
     cross_tol (relative L2).
     """
+    check_settings(rtol, atol, rk4_steps, cross_tol)
     y_ref = full_space_integrate(problem, t0, tf, y0, tab, rtol=rtol, atol=atol)
     scale = np.linalg.norm(y_ref)
     coarse = rk4_integrate(problem, t0, tf, y0, rk4_steps)

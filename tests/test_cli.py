@@ -94,7 +94,7 @@ def test_parse_strategy_rejects_garbage(label):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("rtol", "-1"), ("rtol", "abc"), ("h_init", "0"), ("m_max", "0"),
+    ("rtol", "-1"), ("rtol", "abc"), ("rtol", "inf"), ("h_init", "0"), ("m_max", "0"),
     ("strategy", "M=0"), ("strategy", "M=-2"), ("strategy", "R=-1"), ("strategy", "R=nan"),
     ("safety", "0.9"), ("fac_min", "0.2"), ("fac_max", "0"),
 ])
@@ -111,6 +111,11 @@ def test_bad_integrator_value_is_a_config_error(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("command, section, key, value", [
     ("sweep", "sweep", "tolerances", "1e-3, abc"),
+    ("sweep", "sweep", "tolerances", "inf"),
+    ("sweep", "sweep", "tolerances", ""),
+    ("sweep", "sweep", "strategies", ""),
+    ("sweep", "sweep", "timing", "maybe"),
+    ("sweep", "sweep", "timing", "none"),
     ("stability", "stability", "m_list", "2, x"),
     ("stability", "stability", "n", "abc"),
     ("stability", "stability", "m_list", "0"),
@@ -145,6 +150,15 @@ def test_reference_failure_is_not_a_config_error(tmp_path, capsys, case):
         cfg = "[problem]\nname = cli-ref-poisoned\n"
     assert cli.main(["--config", str(write(tmp_path, cfg)), "reference"]) == 1
     assert "reference computation failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "name = dahlquist\n",  # no section header
+    "[problem]\nnx = 8\n",  # no problem name
+])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, text):
+    assert cli.main(["--config", str(write(tmp_path, text)), "run"]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_user_problem_section_replaces_default(tmp_path):
@@ -183,6 +197,12 @@ h_init = 1e-4
 h_max = 1.0
 m_max = 6
 """
+
+
+def test_run_prints_the_strategy_as_configured(tmp_path, capsys):
+    cfg = DAHLQUIST_RUN.replace("strategy = M=1", "strategy = R=1e-6")
+    assert cli.main(["--config", str(write(tmp_path, cfg)), "run"]) == 0
+    assert "strategy           R=1e-6\n" in capsys.readouterr().out
 
 
 def test_run_prints_hit_cap_steps(tmp_path, capsys):
@@ -263,8 +283,10 @@ def test_sweep_records_jvp_failure_as_failure():
     cp.remove_section("problem")
     cp.add_section("problem")
     cp.set("problem", "name", "cli-sweep-nan-jvp")
-    row = cli._run_sweep_cell(cp, default_tableau(), "M=2", 1e-4,
-                              y_ref=np.ones(2), timing=False)
+    row = cli._run_sweep_cell(
+        cli._problem_from_config(cp), default_tableau(), "M=2",
+        cli._integrator_config(cp, rtol=1e-4, atol=1e-4, strategy_label="M=2"),
+        y_ref=np.ones(2), timing=False)
     assert row["converged"] == "false"
     assert row["error"] == ""
 
@@ -275,8 +297,10 @@ def test_sweep_records_non_finite_rhs_as_failure():
     cp.remove_section("problem")
     cp.add_section("problem")
     cp.set("problem", "name", "cli-sweep-nan-rhs")
-    row = cli._run_sweep_cell(cp, default_tableau(), "M=2", 1e-4,
-                              y_ref=np.ones(2), timing=False)
+    row = cli._run_sweep_cell(
+        cli._problem_from_config(cp), default_tableau(), "M=2",
+        cli._integrator_config(cp, rtol=1e-4, atol=1e-4, strategy_label="M=2"),
+        y_ref=np.ones(2), timing=False)
     assert row["converged"] == "false"
     assert row["error"] == ""
 
@@ -321,6 +345,16 @@ def test_sweep_with_missing_reference_file_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_sweep_with_failed_reference_writes_no_csv(tmp_path, capsys):
+    # two RK4 steps on y' = -y miss the reference by ~1e-4, far beyond cross_tol
+    cfg = DAHLQUIST_RUN + ("\n[sweep]\nstrategies = M=1\ntolerances = 1e-4\n"
+                           "\n[reference]\nrk4_steps = 2\ncross_tol = 1e-12\n")
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["--config", str(write(tmp_path, cfg)), "--out", str(out), "sweep"]) == 1
+    assert "reference computation failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["truncated-header", "wrong-size"])
 def test_bad_stored_reference_is_a_config_error(tmp_path, capsys, case):
     ref_path = tmp_path / "ref.bin"
@@ -342,8 +376,10 @@ def test_sweep_records_failures_without_error_values(tmp_path):
     cp.set("integrator", "h_init", "1e-3")
     cp.set("integrator", "h_min", "1e-9")
     tab = default_tableau()
-    row = cli._run_sweep_cell(cp, tab, "M=2", 1e-4,
-                              y_ref=np.ones(2), timing=False)
+    row = cli._run_sweep_cell(
+        cli._problem_from_config(cp), tab, "M=2",
+        cli._integrator_config(cp, rtol=1e-4, atol=1e-4, strategy_label="M=2"),
+        y_ref=np.ones(2), timing=False)
     assert row["converged"] == "false"
     assert row["error"] == ""
     assert row["accepted"] == ""
@@ -378,6 +414,7 @@ h_high = 1.0
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == cli.STABILITY_CSV_HEADER
     assert len(rows) == 12
+    assert rows[0]["h"] == "1e-06"  # floats are written as their shortest round trip
     by_m = {}
     for r in rows:
         by_m.setdefault(r["M"], []).append(r)
@@ -463,12 +500,6 @@ def test_seed_flag_on_a_problem_without_seed_is_a_config_error(tmp_path, capsys,
     assert cli.main(["--config", str(p), "--out", str(tmp_path / "o"), "--seed", "1",
                      command]) == 2
     assert "seed" in capsys.readouterr().err
-
-
-def test_fmt_uses_shortest_round_trip():
-    assert cli._fmt(0.1) == "0.1"
-    assert cli._fmt(1e-06) == "1e-06"
-    assert cli._fmt(7) == "7"
 
 
 def test_documented_run_form_with_config_after_subcommand(tmp_path, capsys):

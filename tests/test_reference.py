@@ -89,6 +89,16 @@ def test_compute_reference_rejects_bad_cross_validation(tab):
         compute_reference(prob, t0, tf, prob.y0, tab, rk4_steps=4, cross_tol=1e-14)
 
 
+@pytest.mark.parametrize("settings", [
+    dict(rk4_steps=0), dict(rtol=np.inf), dict(atol=0.0), dict(cross_tol=np.nan),
+])
+def test_compute_reference_checks_settings_before_integrating(tab, settings):
+    prob = make_dahlquist(-1.0)
+    with pytest.raises(ValueError, match="rk4_steps"):
+        compute_reference(prob, 0.0, 1.0, np.array([1.0]), tab, **settings)
+    assert prob.n_rhs == 0
+
+
 def test_sparse_path_self_consistent_under_halved_tolerance(tab):
     # 16x16 grid (dim 256 > 64) exercises the sparse direct solver.
     prob = make_allen_cahn(AllenCahnSpec(nx=16, ny=16, alpha=1.0))
