@@ -7,20 +7,24 @@ projected Jacobian H = V^T J V together with the overflow pair
     J V = V H + h_{M+1,M} v_{M+1} e_M^T.
 
 The basis vectors are the rows of one preallocated C-contiguous array, so
-one pass of orthogonalizing a new vector against all of them is two
-matrix-vector products (c = Q z, z -= c^T Q).  Each Arnoldi vector J q_i
-first gets a local pass against q_{i-1} and q_i, then one full pass, and
-a second full pass only when the DGKS test (Daniel, Gragg, Kaufman and
-Stewart 1976) finds that the full pass removed more than half of what
-was left.  For symmetric J the local pass is the Lanczos three-term step,
-which carries almost all of the cancellation, so the full pass keeps
-nearly the whole vector and the DGKS test lets it stand: two sweeps of
-the basis per vector (Simon 1984).  For any other J the local pass is
-merely a cheap first step; the full pass and, where it cancels, the
-DGKS pass are classical Gram-Schmidt with reorthogonalization, which
-keeps the basis orthonormal to working precision whatever J is (Giraud,
-Langou and Rozloznik 2005).  KrylovBasis.v is the (n, M) transposed view
-of those rows.
+one sweep of the basis is one matrix-vector product: c = Q z measures the
+overlap of a new vector z with every row, and z -= c^T Q subtracts it.
+Each Arnoldi vector J q_i first gets a local pass against q_{i-1} and
+q_i.  One measuring sweep follows, and the subtraction only when the
+overlap is above rounding, ||c|| > OVERLAP_REL_TOL * ||z||; after a
+subtraction, a second full pass runs only when the DGKS test (Daniel,
+Gragg, Kaufman and Stewart 1976) finds that it removed more than half of
+what was left.  Each new vector therefore has a measured overlap with
+the basis of at most OVERLAP_REL_TOL, or comes from a subtraction that
+kept most of it or was repeated.  For symmetric J the local pass is the
+Lanczos three-term step, which carries almost all of the cancellation
+(Simon 1984), so most vectors stop after the measuring sweep: one sweep
+of the basis per vector.  For any other J the local pass is merely a
+cheap first step; the subtraction and, where it cancels, the DGKS pass
+are classical Gram-Schmidt with reorthogonalization, which keeps the
+basis orthonormal to working precision whatever J is (Giraud, Langou and
+Rozloznik 2005).  KrylovBasis.v is the (n, M) transposed view of those
+rows.
 
 build_adaptive tests the first-stage residual at every basis size and
 stops at the first size that passes.  It factors I - h*gamma*H_i for each
@@ -42,6 +46,7 @@ storage has no free row after it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,8 +57,13 @@ from .errors import ZeroStartVectorError
 #: ||f|| at or below this is treated as an equilibrium (zero start vector).
 ZERO_START_THRESHOLD = 1e-300
 
-#: h_{i+1,i} <= BREAKDOWN_REL_TOL * beta declares happy breakdown.
+#: h_{i+1,i} <= BREAKDOWN_REL_TOL * ||J q_i|| declares happy breakdown.
 BREAKDOWN_REL_TOL = 1e-12
+
+#: A full Gram-Schmidt pass subtracts its measured overlap c = Q z only
+#: when ||c|| > OVERLAP_REL_TOL * ||z||; below that the subtraction would
+#: move z by rounding alone.
+OVERLAP_REL_TOL = 32 * np.finfo(float).eps
 
 #: Remainder norm <= DROP_REL_TOL * ||w|| makes extend() a no-op.
 DROP_REL_TOL = 1e-12
@@ -128,29 +138,35 @@ class KrylovBasis:
 def _orthogonalize(z: np.ndarray, q: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Orthogonalize z against the orthonormal rows of q.
 
-    A local pass projects out rows lo: first, then one full pass
-    c = Q z, z -= c^T Q follows, and a second full pass runs only when the
-    DGKS test asks for it: when the full pass removed more than half of
-    the energy of z, that is (by Pythagoras, with eta = 1/sqrt(2)) when
-    ||c|| > ||z_after||.  A full pass that keeps most of z leaves a
-    remainder orthogonal to q to working precision, and one that cancels
-    is repeated, so the result does not rest on where the local pass
-    left z and holds for any J.  lo = 0 makes the local pass a full one,
-    for vectors that lie nearly in the span.  Returns the remainder (a
-    new array; z is not modified), the summed projection coefficients of
-    every pass, and the remainder norm.  np.dot keeps the products in
-    BLAS also for a one-row q, where c^T @ q does not.
+    A local pass projects out rows lo: first.  A full pass then measures
+    the overlap c = Q z and subtracts it (z -= c^T Q) only when
+    ||c|| > OVERLAP_REL_TOL * ||z||.  After a subtraction, a second full
+    pass, measured the same way, runs only when the DGKS test asks for
+    it: when the subtraction removed more than half of the energy of z,
+    that is (by Pythagoras, with eta = 1/sqrt(2)) when ||c|| > ||z_after||.
+    The remainder thus has a measured overlap with q of at most
+    OVERLAP_REL_TOL relative to its norm, or comes from a subtraction
+    that kept most of z, or from a repeated one, whatever J is and
+    wherever the local pass left z.  lo = 0 makes the local pass a full
+    one, for vectors that lie nearly in the span.  Returns the remainder
+    (a new array; z is not modified), the summed projection coefficients
+    of every subtraction, and the remainder norm.  np.dot keeps the
+    products in BLAS also for a one-row q, where c^T @ q does not.
     """
     coeffs = np.zeros(q.shape[0])
     c = np.dot(q[lo:], z)
     z = z - np.dot(c, q[lo:])
     coeffs[lo:] += c
+    znorm = float(np.linalg.norm(z))
     for _ in range(2):
         c = np.dot(q, z)
+        cnorm = float(np.linalg.norm(c))
+        if cnorm <= OVERLAP_REL_TOL * znorm:
+            break
         z = z - np.dot(c, q)
         coeffs += c
         znorm = float(np.linalg.norm(z))
-        if np.linalg.norm(c) <= znorm:
+        if cnorm <= znorm:
             break
     return z, coeffs, znorm
 
@@ -186,7 +202,8 @@ class _ArnoldiState:
         self.h[: i + 1, i] = coeffs
         self.h[i + 1, i] = hnorm
         self.m = i + 1
-        if hnorm <= BREAKDOWN_REL_TOL * self.beta:
+        # ||J q_i||, by Pythagoras from the coefficients and the remainder
+        if hnorm <= BREAKDOWN_REL_TOL * math.hypot(float(np.linalg.norm(coeffs)), hnorm):
             self.broke_down = True
             return False
         np.divide(zeta, hnorm, out=q[i + 1])

@@ -79,6 +79,19 @@ def test_adaptive_build_stops_at_happy_breakdown():
         assert np.max(np.abs(a - b)) <= np.finfo(float).eps  # 1.1e-16 measured, |y| < 1
 
 
+def test_happy_breakdown_test_does_not_depend_on_the_scale_of_f():
+    # h_{i+1,i} scales with J and beta with f, so a breakdown test that
+    # compares the two collapses the basis of a large f to one vector.
+    rng = np.random.default_rng(40)
+    n = 30
+    prob = make_linear(rng.standard_normal((n, n)) / np.sqrt(n) - 2.0 * np.eye(n))
+    small, large = (arnoldi.build_fixed(prob, y, prob.f(y), 10)
+                    for y in (prob.y0, 1e12 * prob.y0))
+    assert (small.size, large.size) == (10, 10)
+    assert np.max(np.abs(large.h - small.h)) <= 1e-13 * np.max(np.abs(small.h))
+    assert large.h_next == pytest.approx(small.h_next, rel=1e-12)
+
+
 def test_zero_start_vector_raises():
     rng = np.random.default_rng(12)
     prob = make_random_nonlinear(4, rng)
@@ -346,7 +359,8 @@ def test_kernel_extra_pass_restores_orthogonality_for_nonnormal_jacobian():
 
 def test_kernel_keeps_allen_cahn_basis_orthonormal_at_128():
     # Symmetric J at N = 16384 and the benchmark's cap of 48 vectors,
-    # where the kernel runs the local pass and one full pass per vector.
+    # where the kernel runs the local pass and one measuring sweep per
+    # vector, and subtracts only an overlap above OVERLAP_REL_TOL.
     prob = make_allen_cahn(AllenCahnSpec(128, 128, alpha=1.0))
     y = prob.y0
     m = 48
@@ -371,6 +385,68 @@ def test_kernel_on_one_row_basis_is_one_projection():
     assert np.linalg.norm(rem - ref) <= 1e-15 * np.linalg.norm(ref)
     assert coeffs[0] == pytest.approx(q0 @ z, rel=1e-12)
     assert remnorm == pytest.approx(np.linalg.norm(ref), rel=1e-15)
+
+
+def _orthonormal_rows(n, m, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((n, m)))
+    return np.ascontiguousarray(q.T)
+
+
+def _vector_with_overlap(q, lo, overlap, rng):
+    """A vector with components along rows lo: (which the local pass
+    removes) and an overlap of overlap * ||z_perp|| along row 0, where
+    z_perp is its part orthogonal to every row."""
+    z = rng.standard_normal(q.shape[1])
+    for _ in range(2):
+        z = z - np.dot(np.dot(q, z), q)
+    z += overlap * np.linalg.norm(z) * q[0]
+    return z + np.dot(rng.standard_normal(q.shape[0] - lo), q[lo:])
+
+
+def test_kernel_leaves_a_rounding_level_overlap_alone():
+    rng = np.random.default_rng(34)
+    lo = 10
+    q = _orthonormal_rows(4096, 12, rng)
+    z = _vector_with_overlap(q, lo, 0.25 * arnoldi.OVERLAP_REL_TOL, rng)
+    c = np.dot(q[lo:], z)
+    local = z - np.dot(c, q[lo:])
+    rem, coeffs, remnorm = arnoldi._orthogonalize(z, q, lo)
+    assert np.array_equal(rem, local)
+    assert np.array_equal(coeffs[lo:], c)
+    assert not np.any(coeffs[:lo])
+    assert remnorm == float(np.linalg.norm(local))
+
+
+def test_kernel_subtracts_an_overlap_above_rounding():
+    rng = np.random.default_rng(35)
+    lo = 10
+    q = _orthonormal_rows(4096, 12, rng)
+    z = _vector_with_overlap(q, lo, 1.5 * arnoldi.OVERLAP_REL_TOL, rng)
+    rem, coeffs, remnorm = arnoldi._orthogonalize(z, q, lo)
+    assert coeffs[0] == pytest.approx(1.5 * arnoldi.OVERLAP_REL_TOL * remnorm, rel=0.05)
+    assert np.linalg.norm(q @ rem) <= 0.1 * arnoldi.OVERLAP_REL_TOL * remnorm
+
+
+def test_kernel_keeps_adaptive_extended_and_nonsymmetric_bases_orthonormal():
+    # The measured-overlap test bounds each new vector's overlap with the
+    # basis by OVERLAP_REL_TOL; appended vectors (lo = 0) and a nonsymmetric
+    # J go through the same kernel.
+    prob = make_allen_cahn(AllenCahnSpec(64, 64, alpha=1.0))
+    y = prob.y0
+    basis = arnoldi.build_adaptive(prob, y, prob.f(y), 1e-2, default_tableau().gamma, 1e-300, 48)
+    assert basis.size == 48 and basis.hit_cap
+    assert np.max(np.abs(basis.v.T @ basis.v - np.eye(48))) <= 1e-14
+    rng = np.random.default_rng(21)
+    for _ in range(2):
+        basis = arnoldi.extend(basis, prob, y, prob.f(y + 0.01 * rng.standard_normal(y.size)))
+    assert basis.size == 50
+    assert np.max(np.abs(basis.v.T @ basis.v - np.eye(50))) <= 1e-12
+    rng = np.random.default_rng(33)
+    prob = make_random_nonlinear(200, rng)
+    y = rng.standard_normal(200)
+    basis = arnoldi.build_fixed(prob, y, prob.f(y), 40)
+    assert basis.size == 40
+    assert np.max(np.abs(basis.v.T @ basis.v - np.eye(40))) <= 1e-12
 
 
 @pytest.mark.parametrize("h_first,h_again", [(1e-2, 5e-3), (5e-3, 1e-2), (1e-1, 5e-2)])

@@ -112,6 +112,22 @@ def test_final_time_is_exact(tab):
     assert sol.t == 2.0
 
 
+def test_fixed_basis_run_does_not_depend_on_the_scale_of_y(tab):
+    # y' = A y is linear, so scaling y0 and atol together scales the whole
+    # run: the same steps, and the same state up to the scale.
+    rng = np.random.default_rng(40)
+    n = 30
+    prob = make_linear(rng.standard_normal((n, n)) / np.sqrt(n) - 2.0 * np.eye(n))
+    sols = []
+    for scale in (1.0, 1e12):
+        cfg = IntegratorConfig(rtol=1e-6, atol=1e-6 * scale, basis_strategy=FixedBasis(10))
+        sols.append(integrate(prob, 0.0, 1.0, scale * np.ones(n), tab, cfg))
+    small, large = sols
+    assert (large.stats.accepted, large.stats.rejected) == (small.stats.accepted, small.stats.rejected)
+    assert large.stats.basis_sizes == small.stats.basis_sizes
+    assert np.max(np.abs(large.y / 1e12 - small.y)) <= 1e-9 * np.max(np.abs(small.y))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(rtol=-1.0).validate()
