@@ -276,6 +276,8 @@ def build_adaptive(
     step).  Its Arnoldi vectors are reused and f is not read; the result
     is identical to a fresh build.
     """
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     m_max = min(m_max, problem.dim)
     if previous is None:
         state = _ArnoldiState(problem, y, f, m_max)

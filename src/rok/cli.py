@@ -53,7 +53,6 @@ rtol = 1e-4
 atol = 1e-4
 strategy = R=tol+ext
 h_init = 1e-4
-h_min = 1e-12
 h_max = 1.0
 m_max = 48
 # tableau = path/to/custom.tab
@@ -199,7 +198,6 @@ def _integrator_config(cp, rtol=None, atol=None, strategy_label=None) -> Integra
             basis_strategy=strat,
             extend_with_stage_rhs=extend,
             h_init=sec.getfloat("h_init"),
-            h_min=sec.getfloat("h_min"),
             h_max=sec.getfloat("h_max"),
             m_max=sec.getint("m_max"),
         )
@@ -261,17 +259,24 @@ def _run_sweep_cell(problem, tab, strategy_label: str, cfg, y_ref, timing: bool)
 
 
 def _sweep_reference(cp, problem, tab):
-    """The state in the [sweep] reference file, else _compute_reference's."""
+    """The state in the [sweep] reference file, else _compute_reference's.
+
+    The file must hold problem.dim values and name the problem and t_span
+    it was computed for (rok reference writes both)."""
     ref_path = cp.get("sweep", "reference", fallback=None)
     if ref_path is None:
         return _compute_reference(cp, problem, tab)
     try:
-        y_ref, _ = reference.read_reference(ref_path)
+        y_ref, meta = reference.read_reference(ref_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"[sweep] reference: {exc}") from exc
     if y_ref.shape != (problem.dim,):
         raise ConfigError(f"[sweep] reference: {ref_path} holds {y_ref.size} values, "
                           f"the problem has {problem.dim}")
+    stored = (meta.get("problem"), meta.get("t_span"))
+    if stored != (problem.name, list(problem.t_span)):
+        raise ConfigError(f"[sweep] reference: {ref_path} is for problem {stored[0]!r} over "
+                          f"{stored[1]}, not {problem.name!r} over {list(problem.t_span)}")
     return y_ref
 
 
@@ -358,13 +363,13 @@ def cmd_stability(args) -> int:
         seed = args.seed if args.seed is not None else sec.getint("seed")
         stiffness, h_low, h_high = (sec.getfloat(k) for k in ("stiffness", "h_low", "h_high"))
         m_list = [int(m) for m in sec.get("m_list").split(",") if m.strip()]
-        if (min([n, h_points, *m_list]) < 1 or not np.isfinite(stiffness)
+        if (min([h_points, *m_list]) < 1 or n * tab.s > stability.MAX_BLOCK_DIM
                 or not all(0.0 < x < np.inf for x in (h_low, h_high))):
-            raise ValueError("need n, h_points and every m_list entry >= 1, a finite "
-                             "stiffness, and finite h_low, h_high > 0")
+            raise ValueError(f"need h_points and every m_list entry >= 1, n * {tab.s} stages "
+                             f"<= {stability.MAX_BLOCK_DIM}, and finite h_low, h_high > 0")
+        problem = get_problem("linear-random", n=n, seed=seed, stiffness=stiffness)
     except ValueError as exc:
         raise ConfigError(f"[stability]: {exc}") from exc
-    problem = get_problem("linear-random", n=n, seed=seed, stiffness=stiffness)
     jac = problem.jacobian(problem.y0)
     h_grid = np.geomspace(h_low, h_high, h_points).tolist()
 

@@ -18,7 +18,8 @@ class NonFiniteError(Exception):
 
 
 class StepSizeUnderflowError(Exception):
-    """The step controller pushed h below h_min without an accepted step."""
+    """The step controller pushed h below its time resolution while a step
+    was still needed (see integrate.control)."""
 
     def __init__(self, message, t=None):
         super().__init__(message)

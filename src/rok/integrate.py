@@ -59,15 +59,14 @@ class IntegratorConfig:
     basis_strategy: object = field(default_factory=lambda: FixedBasis(4))
     extend_with_stage_rhs: bool = False
     h_init: float = 1e-3
-    h_min: float = 1e-12
     h_max: float = math.inf
     m_max: int = 48
 
     def validate(self) -> None:
         if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
             raise ValueError("tolerances must be finite and positive")
-        if not (0.0 < self.h_min <= self.h_init <= self.h_max):
-            raise ValueError("need 0 < h_min <= h_init <= h_max")
+        if not (0.0 < self.h_init <= self.h_max):
+            raise ValueError("need 0 < h_init <= h_max")
         if self.m_max < 1:
             raise ValueError("m_max must be at least 1")
 
@@ -123,10 +122,11 @@ def _build_basis(problem, y, f, h, tableau, config, previous=None):
 
 
 def _start_vector(problem, y, t):
+    """f(y), or None when y is at rest (f(y) = 0 to arnoldi.ZERO_START_THRESHOLD)."""
     f0 = problem.f(y)
     if not np.all(np.isfinite(f0)):
         raise NonFiniteError(f"right-hand side f(y) is not finite at t={t:.6g}")
-    return f0
+    return f0 if np.linalg.norm(f0) > arnoldi.ZERO_START_THRESHOLD else None
 
 
 def control(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
@@ -135,11 +135,13 @@ def control(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
 
     step(y, f0, h, retry) takes a step of size h from y, where f0 = f(y),
     and returns a StepResult; retry is True when the last attempt from this
-    y was rejected.  f(y) is evaluated once per state, and a state with
-    f(y) = 0 (an equilibrium) is stepped trivially.  A step raising
-    NonFiniteError or SingularMatrixError counts as a rejection that
-    halves h.  Raises StepSizeUnderflowError when no acceptable step above
-    h_min exists, and NonFiniteError when f(y) is not finite.
+    y was rejected.  f(y) is evaluated once per state; a state at rest
+    (f(y) = 0) stays there, so it ends the run at tf as one accepted step.
+    A step raising NonFiniteError or SingularMatrixError counts as a
+    rejection that halves h.  The loop's time resolution is
+    1e-14 * max(1, |tf|): it stops within that of tf, and raises
+    StepSizeUnderflowError when h falls below it while a step is still
+    needed.  Raises NonFiniteError when f(y) is not finite.
     """
     config.validate()
     if tf <= t0:
@@ -157,6 +159,9 @@ def control(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
 
     t_edge = 1e-14 * max(1.0, abs(tf))
     while tf - t > t_edge:
+        if h < t_edge:
+            raise StepSizeUnderflowError(
+                f"step size {h:.3e} fell below the time resolution {t_edge:.0e} at t={t:.6g}", t=t)
         clipped = False
         if t + h >= tf:
             h = tf - t
@@ -165,12 +170,10 @@ def control(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
         retry = f0 is not None
         if not retry:
             f0 = _start_vector(problem, y, t)
-            if np.linalg.norm(f0) <= arnoldi.ZERO_START_THRESHOLD:
-                # Equilibrium of an autonomous system: the exact step is trivial.
-                t = tf if clipped else t + h
+            if f0 is None:
+                t = tf
                 stats.accepted += 1
-                f0 = None
-                continue
+                break
 
         try:
             res = step(y, f0, h, retry)
@@ -198,10 +201,6 @@ def control(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
             factor = SAFETY * err**exponent if err > 0.0 else FAC_MAX
         h = h * min(FAC_MAX, max(FAC_MIN, factor))
         h = min(h, config.h_max)
-        if h < config.h_min:
-            raise StepSizeUnderflowError(
-                f"step size {h:.3e} fell below h_min at t={t:.6g}", t=t
-            )
 
     stats.rhs_evals = problem.n_rhs - rhs0
     stats.jvp_evals = problem.n_jvp - jvp0
@@ -212,10 +211,11 @@ def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
               config: IntegratorConfig) -> Solution:
     """Integrate the autonomous system from t0 to tf.
 
-    Raises StepSizeUnderflowError when the controller cannot find an
-    acceptable step above h_min (the stability-bound failure mode of too
-    small a fixed basis on stiff problems), and NonFiniteError when f is
-    not finite at the start of a step.
+    A state at rest (f(y) = 0) ends the run.  Raises
+    StepSizeUnderflowError when the controller cannot find an acceptable
+    step above the time resolution of control (the stability-bound
+    failure mode of too small a fixed basis on stiff problems), and
+    NonFiniteError when f is not finite at the start of a step.
     """
     basis = None  # kept across rejections: K(J(y), f(y)) does not depend on h
 
@@ -234,14 +234,17 @@ def integrate_fixed(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tabl
     """Fixed-step integration with a fixed basis size (full space if m is None).
 
     Used for order studies and reference cross-validation; no error control.
+    A state at rest (f(y) = 0) stays there, so it is returned at once.
     """
+    if n_steps < 1:
+        raise ValueError(f"integrate_fixed needs n_steps >= 1, got {n_steps}")
     y = np.asarray(y0, dtype=float).copy()
     h = (tf - t0) / n_steps
     m_eff = problem.dim if m is None else min(m, problem.dim)
     for k in range(n_steps):
         f0 = _start_vector(problem, y, t0 + k * h)
-        if np.linalg.norm(f0) <= arnoldi.ZERO_START_THRESHOLD:
-            continue
+        if f0 is None:
+            break
         basis = arnoldi.build_fixed(problem, y, f0, m_eff)
         y = rok_step(problem, y, h, tableau, basis).y_new
     return y

@@ -19,19 +19,18 @@ from .errors import JvpFailureError
 class OdeProblem:
     """Autonomous ODE with matrix-free Jacobian access.
 
-    rhs(y) returns dy/dt; jvp(y, v) returns J(y) @ v.  dense_jacobian and
-    sparse_jacobian are optional callables used by diagnostics and by the
-    full-space reference integrator.  The f/jv wrappers count evaluations;
+    rhs(y) returns dy/dt; jvp(y, v) returns J(y) @ v.  jacobian, optional,
+    returns J(y) as a dense array or a scipy sparse matrix; diagnostics
+    read it dense (jacobian(y)) and the full-space reference integrator as
+    CSC (sparse_jacobian(y)).  The f/jv wrappers count evaluations;
     reset_counters() clears them.
     """
 
-    def __init__(self, dim, rhs, jvp, dense_jacobian=None, sparse_jacobian=None,
-                 name="problem", y0=None, t_span=None):
+    def __init__(self, dim, rhs, jvp, jacobian=None, name="problem", y0=None, t_span=None):
         self.dim = dim
         self._rhs = rhs
         self._jvp = jvp
-        self._dense_jacobian = dense_jacobian
-        self._sparse_jacobian = sparse_jacobian
+        self._jacobian = jacobian
         self.name = name
         self.y0 = None if y0 is None else np.asarray(y0, dtype=float)
         self.t_span = t_span
@@ -52,15 +51,17 @@ class OdeProblem:
             raise JvpFailureError("jvp returned non-finite values")
         return out
 
+    def _jacobian_callback(self, y):
+        if self._jacobian is None:
+            raise ValueError(f"problem {self.name!r} has no Jacobian")
+        return self._jacobian(y)
+
     def jacobian(self, y):
-        if self._dense_jacobian is None:
-            raise ValueError(f"problem {self.name!r} has no dense Jacobian")
-        return np.asarray(self._dense_jacobian(y), dtype=float)
+        jac = self._jacobian_callback(y)
+        return jac.toarray() if sp.issparse(jac) else np.asarray(jac, dtype=float)
 
     def sparse_jacobian(self, y):
-        if self._sparse_jacobian is not None:
-            return sp.csc_matrix(self._sparse_jacobian(y))
-        return sp.csc_matrix(self.jacobian(y))
+        return sp.csc_matrix(self._jacobian_callback(y))
 
     def reset_counters(self):
         self.n_rhs = 0
@@ -75,7 +76,7 @@ def make_linear(jac: np.ndarray, name: str = "linear") -> OdeProblem:
         dim=n,
         rhs=lambda y: jac @ y,
         jvp=lambda y, v: jac @ v,
-        dense_jacobian=lambda y: jac,
+        jacobian=lambda y: jac,
         name=name,
         y0=np.ones(n),
         t_span=(0.0, 1.0),
@@ -84,8 +85,9 @@ def make_linear(jac: np.ndarray, name: str = "linear") -> OdeProblem:
 
 def make_dahlquist(lam: float = -1.0) -> OdeProblem:
     """Scalar y' = lam*y, y0 = 1."""
-    prob = make_linear(np.array([[lam]]), name="dahlquist")
-    return prob
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
+    return make_linear(np.array([[lam]]), name="dahlquist")
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,8 @@ class AllenCahnSpec:
     def __post_init__(self):
         if self.nx < 3 or self.ny < 3:
             raise ValueError("grid must be at least 3x3")
-        if self.alpha <= 0.0:
-            raise ValueError("diffusion coefficient must be positive")
+        if not (0.0 < self.alpha < np.inf and np.isfinite(self.gamma_rc)):
+            raise ValueError("need a finite diffusion coefficient alpha > 0 and a finite gamma_rc")
 
 
 def _laplacian_1d(n: int, h: float) -> sp.csr_matrix:
@@ -141,11 +143,8 @@ def make_allen_cahn(spec: AllenCahnSpec) -> OdeProblem:
     def jvp(u, v):
         return lap @ v + gam * (1.0 - 3.0 * u**2) * v
 
-    def sparse_jac(u):
+    def jac(u):
         return lap + sp.diags(gam * (1.0 - 3.0 * u**2))
-
-    def dense_jac(u):
-        return sparse_jac(u).toarray()
 
     xc = (np.arange(nx) + 0.5) * hx
     yc = (np.arange(ny) + 0.5) * hy
@@ -156,8 +155,7 @@ def make_allen_cahn(spec: AllenCahnSpec) -> OdeProblem:
         dim=nx * ny,
         rhs=rhs,
         jvp=jvp,
-        dense_jacobian=dense_jac if nx * ny <= 4096 else None,
-        sparse_jacobian=sparse_jac,
+        jacobian=jac,
         name=f"allen-cahn-{nx}x{ny}-a{spec.alpha:g}",
         y0=u0.reshape(-1),
         t_span=(0.0, 0.2),
@@ -184,7 +182,7 @@ def make_smooth_nonlinear() -> OdeProblem:
         dim=2,
         rhs=rhs,
         jvp=jvp,
-        dense_jacobian=jac,
+        jacobian=jac,
         name="smooth-nonlinear",
         y0=np.array([1.2, 0.0]),
         t_span=(0.0, 2.0),
@@ -193,6 +191,8 @@ def make_smooth_nonlinear() -> OdeProblem:
 
 def make_random_linear(n: int, seed: int, stiffness: float = 4.0) -> OdeProblem:
     """Seeded random stable linear system, used by the stability CLI."""
+    if n < 1 or not np.isfinite(stiffness):
+        raise ValueError(f"need n >= 1 and a finite stiffness, got n={n}, stiffness={stiffness}")
     rng = np.random.default_rng(seed)
     q = rng.standard_normal((n, n)) / np.sqrt(n)
     return make_linear(q - stiffness * np.eye(n), name=f"linear-random-{n}-s{seed}")

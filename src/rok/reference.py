@@ -62,9 +62,9 @@ def rk4_integrate(problem, t0: float, tf: float, y0: np.ndarray, n_steps: int) -
 
 def full_space_integrate(problem, t0: float, tf: float, y0: np.ndarray, tab: Tableau,
                          rtol: float = 1e-12, atol: float = 1e-12,
-                         h_init: float = 1e-4, h_min: float = 1e-14) -> np.ndarray:
+                         h_init: float = 1e-4) -> np.ndarray:
     """Adaptive classical Rosenbrock integration with exact-Jacobian stages."""
-    config = IntegratorConfig(rtol=rtol, atol=atol, h_init=h_init, h_min=h_min)
+    config = IntegratorConfig(rtol=rtol, atol=atol, h_init=h_init)
 
     def step(y, f0, h, retry):
         return direct_step(problem, y, f0, h, tab, problem.sparse_jacobian(y))

@@ -24,7 +24,7 @@ def make_random_nonlinear(n: int, rng: np.random.Generator, stiffness: float = 4
         dim=n,
         rhs=lambda y: a @ y + 0.5 * np.sin(y),
         jvp=lambda y, v: a @ v + 0.5 * np.cos(y) * v,
-        dense_jacobian=lambda y: a + 0.5 * np.diag(np.cos(y)),
+        jacobian=lambda y: a + 0.5 * np.diag(np.cos(y)),
         name=f"random-nonlinear-{n}",
         y0=rng.standard_normal(n),
         t_span=(0.0, 1.0),
@@ -47,5 +47,5 @@ def make_poisoned_problem(name: str = "poisoned") -> OdeProblem:
         return np.full(2, np.nan)
 
     return OdeProblem(dim=2, rhs=rhs, jvp=lambda y, v: -v,
-                      dense_jacobian=lambda y: -np.eye(2), name=name,
+                      jacobian=lambda y: -np.eye(2), name=name,
                       y0=y0, t_span=(0.0, 1.0))

@@ -99,6 +99,13 @@ def test_zero_start_vector_raises():
         arnoldi.build_fixed(prob, prob.y0, np.zeros(4), 3)
 
 
+@pytest.mark.parametrize("m_max", [0, -2])
+def test_adaptive_build_rejects_m_max_below_one(m_max):
+    prob = make_random_nonlinear(4, np.random.default_rng(12))
+    with pytest.raises(ValueError, match="m_max"):
+        arnoldi.build_adaptive(prob, prob.y0, prob.f(prob.y0), 0.1, 0.5, 1e-6, m_max)
+
+
 def test_adaptive_basis_meets_residual_tolerance():
     rng = np.random.default_rng(13)
     for _ in range(10):

@@ -97,6 +97,7 @@ def test_parse_strategy_rejects_garbage(label):
     ("rtol", "-1"), ("rtol", "abc"), ("rtol", "inf"), ("h_init", "0"), ("m_max", "0"),
     ("strategy", "M=0"), ("strategy", "M=-2"), ("strategy", "R=-1"), ("strategy", "R=nan"),
     ("safety", "0.9"), ("fac_min", "0.2"), ("fac_max", "0"),
+    ("h_min", "1e-12"),  # the controller's time resolution is not a key either
 ])
 def test_bad_integrator_value_is_a_config_error(tmp_path, capsys, key, value):
     cp = configparser.ConfigParser()
@@ -119,6 +120,7 @@ def test_bad_integrator_value_is_a_config_error(tmp_path, capsys, key, value):
     ("stability", "stability", "m_list", "2, x"),
     ("stability", "stability", "n", "abc"),
     ("stability", "stability", "m_list", "0"),
+    ("stability", "stability", "n", "600"),  # n * 4 stages > stability.MAX_BLOCK_DIM
     ("reference", "reference", "rk4_steps", "0"),
     ("sweep", "reference", "rk4_steps", "0"),
     ("reference", "reference", "rk4_steps", "x"),
@@ -137,6 +139,17 @@ def test_bad_section_value_is_a_config_error(tmp_path, capsys, command, section,
     with path.open("w") as fh:
         cp.write(fh)
     assert cli.main(["--config", str(path), command]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("linear-random", "n", "0"), ("linear-random", "stiffness", "nan"),
+    ("allen-cahn", "alpha", "nan"), ("allen-cahn", "alpha", "inf"),
+    ("allen-cahn", "gamma_rc", "nan"), ("dahlquist", "lam", "nan"),
+])
+def test_bad_problem_value_is_a_config_error(tmp_path, capsys, name, key, value):
+    cfg = DAHLQUIST_RUN.replace("name = dahlquist", f"name = {name}\n{key} = {value}")
+    assert cli.main(["--config", str(write(tmp_path, cfg)), "run"]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -244,7 +257,6 @@ def test_run_with_tableau_file_matches_the_default(tmp_path, capsys):
 def test_run_reports_convergence_failure(tmp_path, capsys):
     register_problem("cli-poisoned", lambda: make_poisoned_problem("cli-poisoned"))
     cfg = DAHLQUIST_RUN.replace("name = dahlquist", "name = cli-poisoned")
-    cfg = cfg.replace("h_init = 1e-3", "h_init = 1e-3\nh_min = 1e-9")
     assert cli.main(["--config", str(write(tmp_path, cfg)), "run"]) == 1
     assert "FAILED" in capsys.readouterr().err
 
@@ -355,11 +367,21 @@ def test_sweep_with_failed_reference_writes_no_csv(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["truncated-header", "wrong-size"])
+# Reference metadata of the right size, but not for the dahlquist run over [0, 1]
+STORED_METADATA = {
+    "no-metadata": {},
+    "other-problem": {"problem": "allen-cahn-8x8-a1", "t_span": [0.0, 1.0]},
+    "other-t-span": {"problem": "dahlquist", "t_span": [0.0, 2.0]},
+}
+
+
+@pytest.mark.parametrize("case", ["truncated-header", "wrong-size", *STORED_METADATA])
 def test_bad_stored_reference_is_a_config_error(tmp_path, capsys, case):
     ref_path = tmp_path / "ref.bin"
     if case == "truncated-header":
         ref_path.write_bytes(b"ROKREF1\0\0\0")
+    elif case in STORED_METADATA:
+        write_reference(ref_path, np.ones(1), STORED_METADATA[case])
     else:  # readable, but the dahlquist problem has one component
         write_reference(ref_path, np.ones(2), {})
     cfg = DAHLQUIST_RUN + f"\n[sweep]\nstrategies = M=1\ntolerances = 1e-4\nreference = {ref_path}\n"
@@ -374,7 +396,6 @@ def test_sweep_records_failures_without_error_values(tmp_path):
     cp.add_section("problem")
     cp.set("problem", "name", "cli-sweep-poisoned")
     cp.set("integrator", "h_init", "1e-3")
-    cp.set("integrator", "h_min", "1e-9")
     tab = default_tableau()
     row = cli._run_sweep_cell(
         cli._problem_from_config(cp), tab, "M=2",

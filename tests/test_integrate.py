@@ -83,6 +83,19 @@ def test_equilibrium_start_is_trivial(tab):
     sol = integrate(prob, 0.0, 2.0, y0, tab, cfg)
     assert np.array_equal(sol.y, y0)
     assert sol.stats.rejected == 0
+    # a state at rest ends the run: one f(y), one accepted step, no basis
+    assert sol.t == 2.0
+    assert (sol.stats.accepted, sol.stats.rhs_evals, sol.stats.jvp_evals) == (1, 1, 0)
+
+
+def test_a_finished_run_does_not_underflow(tab):
+    # the second step is clipped to 1e-13 and ends the run; the step size
+    # it proposes next lies below any time resolution, but no step is left
+    cfg = IntegratorConfig(rtol=0.1, atol=0.1, basis_strategy=FixedBasis(1),
+                           h_init=1.0 - 1e-13)
+    sol = integrate(make_dahlquist(-1.0), 0.0, 1.0, np.array([1.0]), tab, cfg)
+    assert sol.t == 1.0
+    assert sol.stats.accepted == 2
 
 
 def test_integrate_fixed_steps_over_an_equilibrium(tab):
@@ -90,7 +103,7 @@ def test_integrate_fixed_steps_over_an_equilibrium(tab):
     y0 = np.zeros(2)  # equilibrium of the damped oscillator
     y = integrate_fixed(prob, 0.0, 2.0, y0, tab, 8, m=2)
     assert np.array_equal(y, y0)
-    assert (prob.n_rhs, prob.n_jvp) == (8, 0)  # one f(y) per step and no basis
+    assert (prob.n_rhs, prob.n_jvp) == (1, 0)  # one f(y), and the state at rest ends it
 
 
 def test_step_size_underflow(tab):
@@ -98,10 +111,25 @@ def test_step_size_underflow(tab):
 
     prob = make_poisoned_problem()
     cfg = IntegratorConfig(rtol=1e-6, atol=1e-6, basis_strategy=FixedBasis(2),
-                           h_init=1e-3, h_min=1e-9)
+                           h_init=1e-3)
     with pytest.raises(StepSizeUnderflowError) as info:
         integrate(prob, 0.0, 1.0, np.ones(2), tab, cfg)
     assert info.value.t == 0.0
+
+
+def test_an_initial_step_below_the_time_resolution_fails_the_run(tab):
+    cfg = IntegratorConfig(basis_strategy=FixedBasis(1), h_init=1e-20)
+    cfg.validate()  # a valid config: the run, not the config, fails
+    with pytest.raises(StepSizeUnderflowError, match="time resolution") as info:
+        integrate(make_dahlquist(), 0.0, 1.0, np.array([1.0]), tab, cfg)
+    assert info.value.t == 0.0
+
+
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_integrate_fixed_rejects_a_step_count_below_one(tab, n_steps):
+    prob = make_dahlquist()
+    with pytest.raises(ValueError, match="n_steps"):
+        integrate_fixed(prob, 0.0, 1.0, prob.y0, tab, n_steps)
 
 
 def test_final_time_is_exact(tab):
@@ -136,7 +164,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(atol=math.nan).validate()
     with pytest.raises(ValueError):
-        IntegratorConfig(h_init=1e-20, h_min=1e-12).validate()
+        IntegratorConfig(h_init=0.0).validate()
     with pytest.raises(ValueError):
         IntegratorConfig(m_max=0).validate()
     with pytest.raises(ValueError):
@@ -209,12 +237,12 @@ def test_full_space_treats_a_non_finite_stage_as_a_rejection(tab):
     # shrinks h until it underflows, in the full-space mode as in the Krylov one.
     prob = make_poisoned_problem()
     cfg = IntegratorConfig(rtol=1e-6, atol=1e-6, basis_strategy=FixedBasis(2),
-                           h_init=1e-3, h_min=1e-9)
+                           h_init=1e-3)
     with pytest.raises(StepSizeUnderflowError) as krylov:
         integrate(prob, 0.0, 1.0, prob.y0, tab, cfg)
     with pytest.raises(StepSizeUnderflowError) as full:
         full_space_integrate(prob, 0.0, 1.0, prob.y0, tab, rtol=1e-6, atol=1e-6,
-                             h_init=1e-3, h_min=1e-9)
+                             h_init=1e-3)
     assert krylov.value.t == full.value.t == 0.0
 
 

@@ -133,6 +133,20 @@ def test_allen_cahn_spec_validation():
         AllenCahnSpec(nx=8, ny=8, alpha=0.0)
 
 
+@pytest.mark.parametrize("factory, params", [
+    (AllenCahnSpec, dict(nx=8, ny=8, alpha=np.nan)),
+    (AllenCahnSpec, dict(nx=8, ny=8, alpha=np.inf)),
+    (AllenCahnSpec, dict(nx=8, ny=8, alpha=1.0, gamma_rc=np.nan)),
+    (make_dahlquist, dict(lam=np.nan)),
+    (make_dahlquist, dict(lam=-np.inf)),
+    (make_random_linear, dict(n=0, seed=0)),
+    (make_random_linear, dict(n=4, seed=0, stiffness=np.nan)),
+], ids=lambda v: getattr(v, "__name__", None) or ",".join(f"{k}={x}" for k, x in v.items()))
+def test_factories_reject_out_of_range_parameters(factory, params):
+    with pytest.raises(ValueError):
+        factory(**params)
+
+
 def test_dahlquist_has_known_solution():
     prob = make_dahlquist(-1.0)
     assert prob.dim == 1
@@ -167,10 +181,24 @@ def test_jvp_failure_is_wrapped():
         nonfinite.jv(np.ones(2), np.ones(2))
 
 
-def test_missing_dense_jacobian_raises():
+def test_missing_jacobian_raises():
     prob = OdeProblem(dim=2, rhs=lambda y: y, jvp=lambda y, v: v)
     with pytest.raises(ValueError):
         prob.jacobian(np.ones(2))
+
+
+def test_one_jacobian_callback_serves_dense_and_sparse_access():
+    a = np.array([[-2.0, 1.0], [0.0, -3.0]])
+    y = np.ones(2)
+    sparse_cb = OdeProblem(dim=2, rhs=lambda y: a @ y, jvp=lambda y, v: a @ v,
+                           jacobian=lambda y: sp.csr_matrix(a))
+    dense = sparse_cb.jacobian(y)
+    assert isinstance(dense, np.ndarray) and np.array_equal(dense, a)
+    dense_cb = OdeProblem(dim=2, rhs=lambda y: a @ y, jvp=lambda y, v: a @ v,
+                          jacobian=lambda y: a)
+    csc = dense_cb.sparse_jacobian(y)
+    assert sp.issparse(csc) and csc.format == "csc"
+    assert np.array_equal(csc.toarray(), a)
 
 
 def test_registry_round_trip():
