@@ -18,6 +18,7 @@ import re
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .integrate import (
     integrate,
 )
 from .problems import get_problem
-from .tableau import TableauError, default_tableau, load_tableau
+from .tableau import Tableau, TableauError, default_tableau, load_tableau
 
 SWEEP_CSV_HEADER = [
     "problem", "strategy", "tol", "error", "accepted", "rejected",
@@ -156,16 +157,6 @@ def load_config(path) -> configparser.ConfigParser:
     return cp
 
 
-def _seeded_config(args) -> configparser.ConfigParser:
-    """The config with --seed, when given, forwarded to the [problem] factory.
-
-    A problem whose factory takes no seed then fails with a ConfigError."""
-    cp = load_config(args.config)
-    if args.seed is not None:
-        cp.set("problem", "seed", str(args.seed))
-    return cp
-
-
 def _problem_from_config(cp):
     section = dict(cp["problem"])
     name = section.pop("name", None)
@@ -207,14 +198,85 @@ def _integrator_config(cp, rtol=None, atol=None, strategy_label=None) -> Integra
     return cfg
 
 
-def cmd_run(args) -> int:
-    cp = _seeded_config(args)
-    problem = _problem_from_config(cp)
+def _sweep_cells(cp) -> tuple[list, bool]:
+    """The [sweep] cells, each at rtol = atol = tol, and the timing flag."""
+    sec = cp["sweep"]
+    strategies = [s.strip() for s in sec["strategies"].split(",") if s.strip()]
+    try:
+        tolerances = [float(t) for t in sec["tolerances"].split(",") if t.strip()]
+        timing = sec.getboolean("timing")
+    except ValueError as exc:
+        raise ConfigError(f"[sweep]: {exc}") from exc
+    if not (strategies and tolerances):
+        raise ConfigError("[sweep]: strategies and tolerances must not be empty")
+    cells = [(s, _integrator_config(cp, rtol=t, atol=t, strategy_label=s))
+             for s in strategies for t in tolerances]
+    return cells, timing
+
+
+def _reference_settings(cp) -> dict:
+    sec = cp["reference"]
+    try:
+        settings = dict(rtol=sec.getfloat("rtol"), atol=sec.getfloat("atol"),
+                        rk4_steps=sec.getint("rk4_steps"), cross_tol=sec.getfloat("cross_tol"))
+        reference.check_settings(**settings)
+    except ValueError as exc:
+        raise ConfigError(f"[reference]: {exc}") from exc
+    return settings
+
+
+def _stability_scan(cp, tab, seed) -> tuple:
+    """The [stability] test problem (seed, when given, replaces its seed),
+    h grid and m_list."""
+    sec = cp["stability"]
+    try:
+        n, h_points = sec.getint("n"), sec.getint("h_points")
+        seed = seed if seed is not None else sec.getint("seed")
+        stiffness, h_low, h_high = (sec.getfloat(k) for k in ("stiffness", "h_low", "h_high"))
+        m_list = [int(m) for m in sec.get("m_list").split(",") if m.strip()]
+        if (min([h_points, *m_list]) < 1 or n * tab.s > stability.MAX_BLOCK_DIM
+                or not all(0.0 < x < np.inf for x in (h_low, h_high))):
+            raise ValueError(f"need h_points and every m_list entry >= 1, n * {tab.s} stages "
+                             f"<= {stability.MAX_BLOCK_DIM}, and finite h_low, h_high > 0")
+        problem = get_problem("linear-random", n=n, seed=seed, stiffness=stiffness)
+    except ValueError as exc:
+        raise ConfigError(f"[stability]: {exc}") from exc
+    return problem, np.geomspace(h_low, h_high, h_points).tolist(), m_list
+
+
+class Settings(NamedTuple):
+    """The checked values of every config section but [problem]."""
+
+    tableau: Tableau
+    integrator: IntegratorConfig
+    cells: list  # [sweep]: (strategy label, IntegratorConfig), (strategy, tol) order
+    timing: bool
+    reference: dict  # [reference]: compute_reference's keyword settings
+    stability: tuple  # [stability]: (test problem, h grid, m_list)
+
+
+def _checked_config(args) -> tuple[configparser.ConfigParser, Settings]:
+    """The config and its Settings, with --seed, when given, forwarded to
+    the [problem] factory and in place of [stability] seed.
+
+    Every command calls this first, so a bad value in any section is a
+    ConfigError before any computation starts.  [problem] values are left
+    to the problem factory (a problem that takes no seed fails there)."""
+    cp = load_config(args.config)
     tab = _tableau_from_config(cp)
-    cfg = _integrator_config(cp)
+    settings = Settings(tab, _integrator_config(cp), *_sweep_cells(cp),
+                        _reference_settings(cp), _stability_scan(cp, tab, args.seed))
+    if args.seed is not None:
+        cp.set("problem", "seed", str(args.seed))
+    return cp, settings
+
+
+def cmd_run(args) -> int:
+    cp, settings = _checked_config(args)
+    problem = _problem_from_config(cp)
     t0, tf = problem.t_span
     try:
-        sol = integrate(problem, t0, tf, problem.y0, tab, cfg)
+        sol = integrate(problem, t0, tf, problem.y0, settings.tableau, settings.integrator)
     except RUN_FAILURES as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1
@@ -258,14 +320,14 @@ def _run_sweep_cell(problem, tab, strategy_label: str, cfg, y_ref, timing: bool)
     return row
 
 
-def _sweep_reference(cp, problem, tab):
+def _sweep_reference(cp, problem, settings):
     """The state in the [sweep] reference file, else _compute_reference's.
 
     The file must hold problem.dim values and name the problem and t_span
     it was computed for (rok reference writes both)."""
     ref_path = cp.get("sweep", "reference", fallback=None)
     if ref_path is None:
-        return _compute_reference(cp, problem, tab)
+        return _compute_reference(problem, settings)
     try:
         y_ref, meta = reference.read_reference(ref_path)
     except (OSError, ValueError) as exc:
@@ -280,50 +342,31 @@ def _sweep_reference(cp, problem, tab):
     return y_ref
 
 
-def _compute_reference(cp, problem, tab):
-    """compute_reference with the [reference] settings, over the problem's t_span.
+def _compute_reference(problem, settings):
+    """compute_reference with the tableau and [reference] settings of
+    settings, over the problem's t_span.
 
-    The settings are checked first (ConfigError); returns None, with the
-    cause printed, when the full-space integration or its RK4
-    cross-validation fails.
+    Returns None, with the cause printed, when the full-space integration
+    or its RK4 cross-validation fails.
     """
-    sec = cp["reference"]
-    try:
-        settings = dict(rtol=sec.getfloat("rtol"), atol=sec.getfloat("atol"),
-                        rk4_steps=sec.getint("rk4_steps"), cross_tol=sec.getfloat("cross_tol"))
-        reference.check_settings(**settings)
-    except ValueError as exc:
-        raise ConfigError(f"[reference]: {exc}") from exc
     t0, tf = problem.t_span
     try:
-        return reference.compute_reference(problem, t0, tf, problem.y0, tab, **settings)
+        return reference.compute_reference(problem, t0, tf, problem.y0, settings.tableau,
+                                           **settings.reference)
     except (ValueError, StepSizeUnderflowError, NonFiniteError) as exc:
         print(f"reference computation failed: {exc}", file=sys.stderr)
         return None
 
 
 def cmd_sweep(args) -> int:
-    cp = _seeded_config(args)
+    cp, settings = _checked_config(args)
     problem = _problem_from_config(cp)
-    tab = _tableau_from_config(cp)
-    sec = cp["sweep"]
-    strategies = [s.strip() for s in sec["strategies"].split(",") if s.strip()]
-    try:
-        tolerances = [float(t) for t in sec["tolerances"].split(",") if t.strip()]
-        timing = sec.getboolean("timing")
-    except ValueError as exc:
-        raise ConfigError(f"[sweep]: {exc}") from exc
-    if not (strategies and tolerances):
-        raise ConfigError("[sweep]: strategies and tolerances must not be empty")
-    # Every cell's settings are checked before any computation; cells run
-    # in (strategy, tol) order.
-    cells = [(s, _integrator_config(cp, rtol=t, atol=t, strategy_label=s))
-             for s in strategies for t in tolerances]
-    y_ref = _sweep_reference(cp, problem, tab)
+    y_ref = _sweep_reference(cp, problem, settings)
     if y_ref is None:
         return 1
 
-    rows = [_run_sweep_cell(problem, tab, s, cfg, y_ref, timing) for s, cfg in cells]
+    rows = [_run_sweep_cell(problem, settings.tableau, s, cfg, y_ref, settings.timing)
+            for s, cfg in settings.cells]
 
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_CSV_HEADER, lineterminator="\n")
@@ -336,18 +379,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reference(args) -> int:
-    cp = _seeded_config(args)
+    cp, settings = _checked_config(args)
     problem = _problem_from_config(cp)
-    tab = _tableau_from_config(cp)
-    y_ref = _compute_reference(cp, problem, tab)
+    y_ref = _compute_reference(problem, settings)
     if y_ref is None:
         return 1
     out = Path(args.out) if args.out else Path("reference.bin")
-    sec = cp["reference"]
     reference.write_reference(out, y_ref, {
         "problem": problem.name,
-        "rtol": sec.getfloat("rtol"),
-        "atol": sec.getfloat("atol"),
+        "rtol": settings.reference["rtol"],
+        "atol": settings.reference["atol"],
         "t_span": list(problem.t_span),
     })
     print(f"wrote reference for {problem.name} to {out}")
@@ -355,23 +396,10 @@ def cmd_reference(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    cp = load_config(args.config)
-    tab = _tableau_from_config(cp)
-    sec = cp["stability"]
-    try:
-        n, h_points = sec.getint("n"), sec.getint("h_points")
-        seed = args.seed if args.seed is not None else sec.getint("seed")
-        stiffness, h_low, h_high = (sec.getfloat(k) for k in ("stiffness", "h_low", "h_high"))
-        m_list = [int(m) for m in sec.get("m_list").split(",") if m.strip()]
-        if (min([h_points, *m_list]) < 1 or n * tab.s > stability.MAX_BLOCK_DIM
-                or not all(0.0 < x < np.inf for x in (h_low, h_high))):
-            raise ValueError(f"need h_points and every m_list entry >= 1, n * {tab.s} stages "
-                             f"<= {stability.MAX_BLOCK_DIM}, and finite h_low, h_high > 0")
-        problem = get_problem("linear-random", n=n, seed=seed, stiffness=stiffness)
-    except ValueError as exc:
-        raise ConfigError(f"[stability]: {exc}") from exc
+    _, settings = _checked_config(args)
+    tab = settings.tableau
+    problem, h_grid, m_list = settings.stability
     jac = problem.jacobian(problem.y0)
-    h_grid = np.geomspace(h_low, h_high, h_points).tolist()
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -16,6 +16,13 @@ import scipy.sparse as sp
 from .errors import JvpFailureError
 
 
+def _param(x: float) -> str:
+    """x as :g writes it when that reads back as x, else its exact repr, so
+    that distinct parameter values give distinct problem names."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 class OdeProblem:
     """Autonomous ODE with matrix-free Jacobian access.
 
@@ -84,10 +91,11 @@ def make_linear(jac: np.ndarray, name: str = "linear") -> OdeProblem:
 
 
 def make_dahlquist(lam: float = -1.0) -> OdeProblem:
-    """Scalar y' = lam*y, y0 = 1."""
+    """Scalar y' = lam*y, y0 = 1, named dahlquist, with -l<lam> unless lam = -1."""
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
-    return make_linear(np.array([[lam]]), name="dahlquist")
+    suffix = "" if lam == -1.0 else f"-l{_param(lam)}"
+    return make_linear(np.array([[lam]]), name=f"dahlquist{suffix}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,8 @@ def make_allen_cahn(spec: AllenCahnSpec) -> OdeProblem:
     and Jv are each one product with it plus the pointwise reaction term,
     and the sparse Jacobian is the same matrix plus a diagonal.  The
     initial field is 0.4 + 0.1(x+y) + 0.1 sin(10x) sin(20y) sampled at
-    cell centers.
+    cell centers.  The name is allen-cahn-<nx>x<ny>-a<alpha>, with
+    -g<gamma_rc> unless gamma_rc = 1.
     """
     nx, ny = spec.nx, spec.ny
     hx, hy = 1.0 / nx, 1.0 / ny
@@ -150,13 +159,14 @@ def make_allen_cahn(spec: AllenCahnSpec) -> OdeProblem:
     yc = (np.arange(ny) + 0.5) * hy
     x, y = np.meshgrid(xc, yc)
     u0 = 0.4 + 0.1 * (x + y) + 0.1 * np.sin(10.0 * x) * np.sin(20.0 * y)
+    suffix = "" if gam == 1.0 else f"-g{_param(gam)}"
 
     return OdeProblem(
         dim=nx * ny,
         rhs=rhs,
         jvp=jvp,
         jacobian=jac,
-        name=f"allen-cahn-{nx}x{ny}-a{spec.alpha:g}",
+        name=f"allen-cahn-{nx}x{ny}-a{_param(spec.alpha)}{suffix}",
         y0=u0.reshape(-1),
         t_span=(0.0, 0.2),
     )
@@ -190,12 +200,16 @@ def make_smooth_nonlinear() -> OdeProblem:
 
 
 def make_random_linear(n: int, seed: int, stiffness: float = 4.0) -> OdeProblem:
-    """Seeded random stable linear system, used by the stability CLI."""
+    """Seeded random stable linear system, used by the stability CLI.
+
+    The name is linear-random-<n>-s<seed>, with -k<stiffness> unless
+    stiffness = 4."""
     if n < 1 or not np.isfinite(stiffness):
         raise ValueError(f"need n >= 1 and a finite stiffness, got n={n}, stiffness={stiffness}")
     rng = np.random.default_rng(seed)
     q = rng.standard_normal((n, n)) / np.sqrt(n)
-    return make_linear(q - stiffness * np.eye(n), name=f"linear-random-{n}-s{seed}")
+    suffix = "" if stiffness == 4.0 else f"-k{_param(stiffness)}"
+    return make_linear(q - stiffness * np.eye(n), name=f"linear-random-{n}-s{seed}{suffix}")
 
 
 # Problem registry: the CLI resolves problems by name.  A plugin registers

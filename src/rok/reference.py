@@ -33,6 +33,8 @@ def write_reference(path, y: np.ndarray, metadata: dict) -> None:
 
 
 def read_reference(path) -> tuple[np.ndarray, dict]:
+    """(state, metadata) from a write_reference file; ValueError if the
+    file is not one or its trailer is not a JSON object."""
     raw = Path(path).read_bytes()
     off = len(MAGIC)
     if raw[:off] != MAGIC or len(raw) < off + 8:
@@ -42,6 +44,8 @@ def read_reference(path) -> tuple[np.ndarray, dict]:
     y = np.frombuffer(raw, dtype="<f8", count=dim, offset=off).copy()
     off += 8 * dim
     metadata = json.loads(raw[off:].decode("utf-8")) if len(raw) > off else {}
+    if not isinstance(metadata, dict):
+        raise ValueError(f"{path}: the metadata trailer is not a JSON object")
     return y, metadata
 
 
@@ -67,7 +71,7 @@ def full_space_integrate(problem, t0: float, tf: float, y0: np.ndarray, tab: Tab
     config = IntegratorConfig(rtol=rtol, atol=atol, h_init=h_init)
 
     def step(y, f0, h, retry):
-        return direct_step(problem, y, f0, h, tab, problem.sparse_jacobian(y))
+        return direct_step(problem, y, f0, h, tab)
 
     return control(problem, t0, tf, y0, tab, config, step).y
 

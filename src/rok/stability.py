@@ -10,8 +10,10 @@ the effective transfer matrix from the s-stage block system
 splits it as R_eff = R + S where R is the classical stability matrix
 (A = J) and S the stage stability term.  The stability scan (rok
 stability) takes linalg.spectral_radius of transfer_matrix_analytic with
-A = J and with A = V H V^T.  Everything here materializes Kronecker
-blocks densely and is meant for small diagnostic problems only.
+A = J and with A = V H V^T.  Everything here is dense algebra on
+(J, A): it materializes Kronecker blocks and is meant for small
+diagnostic problems only.  The tests check it against one-step runs of
+step.direct_step and step.rok_step on y' = J y.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import arnoldi as _arnoldi
-from .problems import make_linear
-from .step import direct_step, rok_step
 from .tableau import Tableau
 
 #: Dense block assembly guard: refuse N*s beyond this.
@@ -57,30 +57,6 @@ def transfer_matrix_analytic(jac: np.ndarray, a: np.ndarray, tableau: Tableau, h
     for i in range(s):
         r += tableau.b[i] * x[i * n : (i + 1) * n, :]
     return r
-
-
-def transfer_matrix_empirical(jac: np.ndarray, approx, tableau: Tableau, h: float) -> np.ndarray:
-    """Transfer matrix column-by-column from one-step runs on y' = J y.
-
-    approx may be a KrylovBasis (columns come from rok_step with that
-    basis) or a dense matrix A (columns come from direct_step with stage
-    matrix A).
-    """
-    n = jac.shape[0]
-    problem = make_linear(jac)
-    if isinstance(approx, _arnoldi.KrylovBasis):
-        def step(y):
-            return rok_step(problem, y, h, tableau, approx, f0=jac @ y)
-    else:
-        a = np.asarray(approx, dtype=float)
-        _check_sizes(jac, a, tableau)
-
-        def step(y):
-            return direct_step(problem, y, jac @ y, h, tableau, a)
-    cols = np.empty((n, n))
-    for j in range(n):
-        cols[:, j] = step(np.eye(n)[:, j]).y_new
-    return cols
 
 
 def stage_stability_term(jac: np.ndarray, a: np.ndarray, tableau: Tableau, h: float,

@@ -11,8 +11,8 @@ rok_step solves each stage in the reduced space of a Krylov basis (V, H):
     (I - h*gamma*H) lambda_i = h psi_i + h H sum_{j<i} gamma_ij lambda_j
     k_i      = V lambda_i + h (F_i - V psi_i) = V (lambda_i - h psi_i) + h F_i
 
-F_1 is the basis start vector beta v_1 unless the caller overrides it,
-so psi_1 = beta e_1 exactly and k_1 = V lambda_1.
+The basis is built from f(y), so F_1 is its start vector beta v_1,
+psi_1 = beta e_1 exactly and k_1 = V lambda_1.
 
 With the extension variant, the basis is extended with each new F_i
 (tab.evaluates_f; a reused F is in the span already) before stage i is
@@ -20,9 +20,9 @@ solved, the reduced factorization grows by a column append, and earlier
 lambda_j are zero-padded; the correction term F_i - V psi_i then
 vanishes by construction.
 
-direct_step solves (I - h*gamma*A) k_i = h F_i + h A sum_{j<i} gamma_ij k_j
-with one sparse LU: the full-space step with A = J, and the step with any
-stage matrix A for the stability diagnostics.
+direct_step solves (I - h*gamma*J) k_i = h F_i + h J sum_{j<i} gamma_ij k_j
+with one sparse LU of the problem's Jacobian J(y): the classical
+full-space step.
 
 The residual of stage i is its defect in the full-space stage equation
 k_i = h F_i + h J sum_j gamma_ij k_j.  stage_residual_formula evaluates
@@ -122,16 +122,13 @@ def rok_step(
     tableau: Tableau,
     basis: arnoldi.KrylovBasis,
     extend: bool = False,
-    f0: np.ndarray | None = None,
 ) -> StepResult:
     """Advance one step of size h from y using a prebuilt Krylov basis.
 
     The basis must have been built from f(y); stage 1 reuses its start
-    vector instead of re-evaluating the RHS.  Pass f0 to override the
-    stage-1 RHS when the basis was built from a different vector (used by
-    the stability diagnostics, which probe unit states against a basis
-    built elsewhere).  The reduced system is factored once, unless the
-    basis carries the factor at h*gamma that build_adaptive computed.
+    vector instead of re-evaluating the RHS.  The reduced system is
+    factored once, unless the basis carries the factor at h*gamma that
+    build_adaptive computed.
     Raises SingularMatrixError if the reduced system cannot be factored
     and NonFiniteError if a stage RHS produces NaN/Inf (the controller
     treats that as "step too large").  The result's internals hold the
@@ -165,8 +162,7 @@ def rok_step(
 
         m = basis.size
         v = basis.v
-        start = i == 0 and f0 is None
-        if start:  # F_1 is beta v_1, so psi_1 = beta e_1 exactly
+        if i == 0:  # F_1 is beta v_1, so psi_1 = beta e_1 exactly
             psi = np.zeros(m)
             psi[0] = basis.beta
         else:
@@ -181,37 +177,33 @@ def rok_step(
         psi_stages.append(psi)
         if i == 0:
             stats.first_stage_residual = arnoldi.first_stage_residual_norm(h, tab.gamma, basis, lam)
-        if start:
             return v @ lam
         return v @ (lam - h * psi) + h * f_i
 
-    f1 = basis.start_vector if f0 is None else np.asarray(f0, dtype=float)
-    y_new, y_embedded, ks = run_stages(problem, y, tab, f1, solve_stage)
+    y_new, y_embedded, ks = run_stages(problem, y, tab, basis.start_vector, solve_stage)
 
     stats.basis_total = basis.size
     internals = StepInternals(y, h, tab, basis, lambdas, f_stages, psi_stages, ks)
     return StepResult(y_new=y_new, y_embedded=y_embedded, stats=stats, internals=internals)
 
 
-def direct_step(problem, y: np.ndarray, f0: np.ndarray, h: float, tableau: Tableau,
-                a) -> StepResult:
-    """One Rosenbrock step whose stage systems use the matrix a in place of J.
+def direct_step(problem, y: np.ndarray, f0: np.ndarray, h: float, tableau: Tableau) -> StepResult:
+    """One classical Rosenbrock step with the problem's Jacobian J = J(y).
 
-    Stage i solves (I - h*gamma*a) k_i = h F_i + h a sum_{j<i} gamma_ij k_j
-    with one sparse LU of I - h*gamma*a; f0 is f(y).  With a = J(y) this
-    is the classical full-space step.  Raises SingularMatrixError if
-    I - h*gamma*a is singular.
+    Stage i solves (I - h*gamma*J) k_i = h F_i + h J sum_{j<i} gamma_ij k_j
+    with one sparse LU of I - h*gamma*J, from problem.sparse_jacobian(y);
+    f0 is f(y).  Raises SingularMatrixError if I - h*gamma*J is singular.
     """
-    a = sp.csc_matrix(a)
-    n = a.shape[0]
+    jac = problem.sparse_jacobian(y)
+    n = jac.shape[0]
     try:
-        lu = spla.splu(sp.identity(n, format="csc") - h * tableau.gamma * a)
+        lu = spla.splu(sp.identity(n, format="csc") - h * tableau.gamma * jac)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SingularMatrixError(f"I - h*gamma*A cannot be factored: {exc}") from exc
+        raise SingularMatrixError(f"I - h*gamma*J cannot be factored: {exc}") from exc
 
     def solve_stage(i, f_i, ks):
         acc = sum((tableau.gamma_lower[i, j] * ks[j] for j in range(i)), np.zeros(n))
-        return lu.solve(h * f_i + h * a.dot(acc))
+        return lu.solve(h * f_i + h * jac.dot(acc))
 
     y_new, y_embedded, _ = run_stages(problem, y, tableau, f0, solve_stage)
     return StepResult(y_new=y_new, y_embedded=y_embedded,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rok.problems import OdeProblem
+from rok.step import direct_step
 from rok.tableau import default_tableau
 
 
@@ -49,3 +50,12 @@ def make_poisoned_problem(name: str = "poisoned") -> OdeProblem:
     return OdeProblem(dim=2, rhs=rhs, jvp=lambda y, v: -v,
                       jacobian=lambda y: -np.eye(2), name=name,
                       y0=y0, t_span=(0.0, 1.0))
+
+
+def direct_transfer_matrix(jac: np.ndarray, a: np.ndarray, tab, h: float) -> np.ndarray:
+    """R_eff(hJ, hA) column by column: one direct_step on y' = J y from each
+    unit state, with the problem's Jacobian callback returning A."""
+    n = jac.shape[0]
+    prob = OdeProblem(dim=n, rhs=lambda y: jac @ y, jvp=lambda y, v: jac @ v,
+                      jacobian=lambda y: a)
+    return np.column_stack([direct_step(prob, e, prob.f(e), h, tab).y_new for e in np.eye(n)])

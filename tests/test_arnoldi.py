@@ -74,7 +74,7 @@ def test_adaptive_build_stops_at_happy_breakdown():
     assert np.array_equal(basis.fac.piv, fresh.piv) and basis.fac.hg == fresh.hg
     assert np.max(np.abs(basis.fac.lu - fresh.lu)) <= 3e-17
     krylov = step.rok_step(prob, y, h, tab, basis)
-    full = step.direct_step(prob, y, f, h, tab, jac)
+    full = step.direct_step(prob, y, f, h, tab)
     for a, b in ((krylov.y_new, full.y_new), (krylov.y_embedded, full.y_embedded)):
         assert np.max(np.abs(a - b)) <= np.finfo(float).eps  # 1.1e-16 measured, |y| < 1
 

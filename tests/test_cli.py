@@ -10,7 +10,8 @@ import pytest
 from rok import cli
 from rok.integrate import (AdaptiveResidual, AdaptiveResidualMatchTol, FixedBasis,
                            IntegratorConfig, integrate)
-from rok.problems import AllenCahnSpec, OdeProblem, make_allen_cahn, register_problem
+from rok.problems import (AllenCahnSpec, OdeProblem, get_problem, make_allen_cahn,
+                          register_problem)
 from rok.reference import read_reference, write_reference
 from rok.tableau import default_tableau
 
@@ -125,6 +126,15 @@ def test_bad_integrator_value_is_a_config_error(tmp_path, capsys, key, value):
     ("sweep", "reference", "rk4_steps", "0"),
     ("reference", "reference", "rk4_steps", "x"),
     ("reference", "reference", "rtol", "-1"),
+    # every command checks every section but [problem], read or not
+    ("run", "stability", "n", "abc"),
+    ("run", "sweep", "tolerances", "1e-3, x"),
+    ("run", "reference", "rk4_steps", "zero"),
+    ("stability", "integrator", "rtol", "abc"),
+    ("stability", "integrator", "strategy", "Q=9"),
+    ("reference", "integrator", "rtol", "abc"),
+    ("reference", "integrator", "strategy", "Q=9"),
+    ("sweep+stored", "reference", "rk4_steps", "0"),  # the sweep reads a stored reference
     ("sweep", "sweep", "tolerance", "1e-3"),  # unknown keys from here on
     ("sweep", "sweep", "strategy", "M=1"),
     ("reference", "reference", "rk4step", "10"),
@@ -134,6 +144,12 @@ def test_bad_integrator_value_is_a_config_error(tmp_path, capsys, key, value):
 def test_bad_section_value_is_a_config_error(tmp_path, capsys, command, section, key, value):
     cp = configparser.ConfigParser()
     cp.read_string(DAHLQUIST_RUN)
+    command, _, stored = command.partition("+")
+    if stored:
+        write_reference(tmp_path / "ref.bin", np.array([np.exp(-1.0)]),
+                        {"problem": "dahlquist", "t_span": [0.0, 1.0]})
+        cp.read_dict({"sweep": {"strategies": "M=1", "tolerances": "1e-4",
+                                "reference": str(tmp_path / "ref.bin")}})
     cp.read_dict({section: {key: value}})
     path = tmp_path / "config.ini"
     with path.open("w") as fh:
@@ -372,6 +388,7 @@ STORED_METADATA = {
     "no-metadata": {},
     "other-problem": {"problem": "allen-cahn-8x8-a1", "t_span": [0.0, 1.0]},
     "other-t-span": {"problem": "dahlquist", "t_span": [0.0, 2.0]},
+    "not-an-object": [1, 2],
 }
 
 
@@ -386,6 +403,29 @@ def test_bad_stored_reference_is_a_config_error(tmp_path, capsys, case):
         write_reference(ref_path, np.ones(2), {})
     cfg = DAHLQUIST_RUN + f"\n[sweep]\nstrategies = M=1\ntolerances = 1e-4\nreference = {ref_path}\n"
     assert cli.main(["--config", str(write(tmp_path, cfg)), "sweep"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+# Default parameters keep their names, which stored references
+# (perfbench/refs) carry; a changed parameter changes the name.
+@pytest.mark.parametrize("name, params, default_name, changed", [
+    ("allen-cahn", dict(nx=8, ny=8, alpha=1.0), "allen-cahn-8x8-a1", dict(gamma_rc=2.0)),
+    ("allen-cahn", dict(nx=8, ny=8, alpha=1.0), "allen-cahn-8x8-a1", dict(alpha=1.0000001)),
+    ("linear-random", dict(n=8, seed=0), "linear-random-8-s0", dict(stiffness=10.0)),
+    ("dahlquist", dict(lam=-1.0), "dahlquist", dict(lam=-2.0)),
+])
+def test_sweep_refuses_a_reference_for_other_parameters(tmp_path, capsys, name, params,
+                                                        default_name, changed):
+    other = {**params, **changed}
+    stored = get_problem(name, **params)
+    assert stored.name == default_name
+    assert get_problem(name, **other).name != stored.name
+    ref_path = tmp_path / "ref.bin"
+    write_reference(ref_path, stored.y0, {"problem": stored.name, "t_span": list(stored.t_span)})
+    cfg = "".join(["[problem]\n", f"name = {name}\n", *(f"{k} = {v}\n" for k, v in other.items()),
+                   f"[sweep]\nstrategies = M=1\ntolerances = 1e-4\nreference = {ref_path}\n"])
+    assert cli.main(["--config", str(write(tmp_path, cfg)), "--out", str(tmp_path / "s.csv"),
+                     "sweep"]) == 2
     assert "config error" in capsys.readouterr().err
 
 

@@ -253,7 +253,7 @@ def test_direct_step_reports_a_singular_stage_matrix(tab):
     a = np.diag([c, -1.0])
     prob = make_linear(a)
     with pytest.raises(SingularMatrixError):
-        direct_step(prob, prob.y0, prob.f(prob.y0), h, tab, a)
+        direct_step(prob, prob.y0, prob.f(prob.y0), h, tab)
 
 
 def test_benchmark_hook_points_see_every_step(tab, monkeypatch):

@@ -132,21 +132,6 @@ def test_stage_rhs_reuse_for_repeated_alpha_rows(tab):
     assert prob.n_rhs == 2
 
 
-def test_f0_override_changes_first_stage(tab):
-    rng = np.random.default_rng(47)
-    prob = make_random_nonlinear(10, rng)
-    y = rng.standard_normal(10)
-    f = prob.f(y)
-    basis = arnoldi.build_fixed(prob, y, f, 4)
-    default = step.rok_step(prob, y, 0.05, tab, basis)
-    same = step.rok_step(prob, y, 0.05, tab, basis, f0=f)
-    other = step.rok_step(prob, y, 0.05, tab, basis, f0=2.0 * f)
-    # beta * v[:, 0] reconstructs f only up to roundoff, so compare tightly
-    # rather than bitwise
-    assert np.allclose(default.y_new, same.y_new, rtol=1e-13, atol=1e-14)
-    assert not np.allclose(default.y_new, other.y_new)
-
-
 def test_nonfinite_stage_rhs_raises(tab):
     calls = {"n": 0}
 
