@@ -135,7 +135,8 @@ class KrylovBasis:
         return self.beta * self.v[:, 0]
 
 
-def _orthogonalize(z: np.ndarray, q: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _orthogonalize(z: np.ndarray, q: np.ndarray, lo: int,
+                   overwrite_z: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
     """Orthogonalize z against the orthonormal rows of q.
 
     A local pass projects out rows lo: first.  A full pass then measures
@@ -148,14 +149,16 @@ def _orthogonalize(z: np.ndarray, q: np.ndarray, lo: int) -> tuple[np.ndarray, n
     OVERLAP_REL_TOL relative to its norm, or comes from a subtraction
     that kept most of z, or from a repeated one, whatever J is and
     wherever the local pass left z.  lo = 0 makes the local pass a full
-    one, for vectors that lie nearly in the span.  Returns the remainder
-    (a new array; z is not modified), the summed projection coefficients
-    of every subtraction, and the remainder norm.  np.dot keeps the
-    products in BLAS also for a one-row q, where c^T @ q does not.
+    one, for vectors that lie nearly in the span.  Returns the remainder,
+    the summed projection coefficients of every subtraction, and the
+    remainder norm.  The remainder is z itself, subtracted from in place,
+    when overwrite_z is set (the caller owns z), and a new array
+    otherwise.  np.dot keeps the products in BLAS also for a one-row q,
+    where c^T @ q does not.
     """
     coeffs = np.zeros(q.shape[0])
     c = np.dot(q[lo:], z)
-    z = z - np.dot(c, q[lo:])
+    z = np.subtract(z, np.dot(c, q[lo:]), out=z if overwrite_z else None)
     coeffs[lo:] += c
     znorm = float(np.linalg.norm(z))
     for _ in range(2):
@@ -163,7 +166,7 @@ def _orthogonalize(z: np.ndarray, q: np.ndarray, lo: int) -> tuple[np.ndarray, n
         cnorm = float(np.linalg.norm(c))
         if cnorm <= OVERLAP_REL_TOL * znorm:
             break
-        z = z - np.dot(c, q)
+        np.subtract(z, np.dot(c, q), out=z)  # z is a new array after the local pass
         coeffs += c
         znorm = float(np.linalg.norm(z))
         if cnorm <= znorm:
@@ -175,7 +178,9 @@ class _ArnoldiState:
     """Incrementally grown Arnoldi factorization of J(y) on K(J(y), f).
 
     Holds m_max + 1 basis rows and the (m_max + 1, m_max) Hessenberg
-    matrix; after m steps, rows 0..m and h[:m+1, :m] are final.
+    matrix; after m steps, rows 0..m and h[:m+1, :m] are final.  lin is
+    problem.linearize(y), taken once: every product of this process, and
+    of every extend of its bases, goes through problem.jv with it.
     """
 
     def __init__(self, problem, y, f, m_max):
@@ -186,6 +191,7 @@ class _ArnoldiState:
         if beta <= ZERO_START_THRESHOLD:
             raise ZeroStartVectorError("start vector norm below threshold")
         self.beta = beta
+        self.lin = problem.linearize(y)
         self.rows = _Rows(m_max + 1, f.shape[0])
         self.rows.q[0] = f / beta
         self.rows.used = 1
@@ -197,8 +203,8 @@ class _ArnoldiState:
         """Add one Krylov vector; returns False on happy breakdown."""
         i = self.m
         q = self.rows.q
-        zeta = self.problem.jv(self.y, q[i])
-        zeta, coeffs, hnorm = _orthogonalize(zeta, q[: i + 1], max(0, i - 1))
+        zeta = self.problem.jv(self.y, q[i], self.lin)
+        zeta, coeffs, hnorm = _orthogonalize(zeta, q[: i + 1], max(0, i - 1), overwrite_z=True)
         self.h[: i + 1, i] = coeffs
         self.h[i + 1, i] = hnorm
         self.m = i + 1
@@ -310,7 +316,9 @@ def extend(basis: KrylovBasis, problem, y: np.ndarray, w: np.ndarray) -> KrylovB
     overlap of appended vectors with v_{M+1}; the extended relation, not
     the projection identity, is the property the residual theory needs.)
     The J-products of appended vectors are retained so later appends can
-    fill in their rows.
+    fill in their rows.  They go through problem.jv with the
+    linearization of the basis's Arnoldi process, which was built at y.
+    w is not modified.
     """
     w = np.asarray(w, dtype=float)
     wnorm = float(np.linalg.norm(w))
@@ -321,7 +329,7 @@ def extend(basis: KrylovBasis, problem, y: np.ndarray, w: np.ndarray) -> KrylovB
     if remnorm <= DROP_REL_TOL * wnorm:
         return basis
     vbar = rem / remnorm
-    jvbar = problem.jv(y, vbar)
+    jvbar = problem.jv(y, vbar, basis.state.lin)
     rows = basis.rows
     if rows is None or rows.used != m or rows.q.shape[0] == m:
         rows = _Rows(m + EXTEND_SPARE_ROWS, basis.dim)

@@ -10,7 +10,8 @@ class ZeroStartVectorError(Exception):
 
 
 class JvpFailureError(Exception):
-    """The user-supplied Jacobian-vector product raised or returned non-finite data."""
+    """The user-supplied linearization or its Jacobian-vector product raised or
+    returned non-finite data."""
 
 
 class NonFiniteError(Exception):

@@ -7,7 +7,7 @@ plug into it.
 
 rok_step solves each stage in the reduced space of a Krylov basis (V, H):
 
-    psi_i    = V^T F_i
+    psi_i    = V^T F_i  (psi_{i-1} again when F_i reuses F_{i-1})
     (I - h*gamma*H) lambda_i = h psi_i + h H sum_{j<i} gamma_ij lambda_j
     k_i      = V lambda_i + h (F_i - V psi_i) = V (lambda_i - h psi_i) + h F_i
 
@@ -165,6 +165,8 @@ def rok_step(
         if i == 0:  # F_1 is beta v_1, so psi_1 = beta e_1 exactly
             psi = np.zeros(m)
             psi[0] = basis.beta
+        elif not tab.evaluates_f[i]:  # F_i is F_{i-1}; only a new F grows the basis
+            psi = psi_stages[-1]
         else:
             psi = v.T @ f_i
         acc = np.zeros(m)

@@ -24,7 +24,7 @@ def make_random_nonlinear(n: int, rng: np.random.Generator, stiffness: float = 4
     return OdeProblem(
         dim=n,
         rhs=lambda y: a @ y + 0.5 * np.sin(y),
-        jvp=lambda y, v: a @ v + 0.5 * np.cos(y) * v,
+        linearize=lambda y: lambda v: a @ v + 0.5 * np.cos(y) * v,
         jacobian=lambda y: a + 0.5 * np.diag(np.cos(y)),
         name=f"random-nonlinear-{n}",
         y0=rng.standard_normal(n),
@@ -47,7 +47,7 @@ def make_poisoned_problem(name: str = "poisoned") -> OdeProblem:
             return -y
         return np.full(2, np.nan)
 
-    return OdeProblem(dim=2, rhs=rhs, jvp=lambda y, v: -v,
+    return OdeProblem(dim=2, rhs=rhs, linearize=lambda y: lambda v: -v,
                       jacobian=lambda y: -np.eye(2), name=name,
                       y0=y0, t_span=(0.0, 1.0))
 
@@ -56,6 +56,6 @@ def direct_transfer_matrix(jac: np.ndarray, a: np.ndarray, tab, h: float) -> np.
     """R_eff(hJ, hA) column by column: one direct_step on y' = J y from each
     unit state, with the problem's Jacobian callback returning A."""
     n = jac.shape[0]
-    prob = OdeProblem(dim=n, rhs=lambda y: jac @ y, jvp=lambda y, v: jac @ v,
+    prob = OdeProblem(dim=n, rhs=lambda y: jac @ y, linearize=lambda y: lambda v: jac @ v,
                       jacobian=lambda y: a)
     return np.column_stack([direct_step(prob, e, prob.f(e), h, tab).y_new for e in np.eye(n)])

@@ -5,7 +5,7 @@ import pytest
 
 from rok import arnoldi, linalg, step
 from rok.errors import ZeroStartVectorError
-from rok.problems import AllenCahnSpec, make_allen_cahn, make_linear
+from rok.problems import AllenCahnSpec, OdeProblem, make_allen_cahn, make_linear
 from rok.tableau import default_tableau
 
 from conftest import make_random_nonlinear
@@ -219,6 +219,54 @@ def test_extend_is_noop_for_in_span_vector():
     assert same.size == basis.size
     zero = arnoldi.extend(basis, prob, y, np.zeros(12))
     assert zero.size == basis.size
+
+
+def test_extend_leaves_w_unchanged():
+    # The kernel subtracts in place only from vectors its caller owns; the
+    # stage RHS that extend appends is kept in the step's stage record.
+    rng = np.random.default_rng(24)
+    prob = make_random_nonlinear(30, rng)
+    y = rng.standard_normal(30)
+    basis = arnoldi.build_fixed(prob, y, prob.f(y), 5)
+    w = rng.standard_normal(30)
+    saved = w.copy()
+    grown = arnoldi.extend(basis, prob, y, w)
+    assert grown.size == basis.size + 1
+    assert np.array_equal(w, saved)
+
+
+def test_one_linearization_serves_an_arnoldi_process_and_its_extensions():
+    rng = np.random.default_rng(25)
+    base = make_random_nonlinear(30, rng)
+    states = []
+
+    def linearize(y):
+        states.append(y)
+        return base.linearize(y)
+
+    prob = OdeProblem(dim=30, rhs=base.f, linearize=linearize)
+    y = rng.standard_normal(30)
+    f = prob.f(y)
+    kept = arnoldi.build_adaptive(prob, y, f, 0.05, 0.5, 1e-6, 20)
+    again = arnoldi.build_adaptive(prob, y, f, 0.2, 0.5, 1e-10, 20, previous=kept)
+    assert again.size > kept.size
+    grown = arnoldi.extend(arnoldi.extend(again, prob, y, rng.standard_normal(30)),
+                           prob, y, rng.standard_normal(30))
+    assert grown.size == again.size + 2 and prob.n_jvp == again.state.m + 2
+    assert len(states) == 1 and states[0] is y
+    arnoldi.build_fixed(prob, y, f, 3)
+    assert len(states) == 2
+
+
+def test_an_identity_operator_leaves_the_basis_intact():
+    # The kernel subtracts in place from the Jv it gets; an operator that
+    # returns its input must not turn that into a write to the basis.
+    prob = OdeProblem(dim=3, rhs=lambda y: y, linearize=lambda y: lambda v: v)
+    y = np.array([1.0, 2.0, 2.0])
+    basis = arnoldi.build_fixed(prob, y, prob.f(y), 2)
+    assert basis.size == 1 and basis.h_next == 0.0
+    assert np.array_equal(basis.v[:, 0], y / 3.0)
+    assert basis.h[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_extend_appended_column_is_projected_jacobian_product():

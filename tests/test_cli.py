@@ -279,7 +279,7 @@ def test_run_reports_convergence_failure(tmp_path, capsys):
 
 def _register_nan_rhs(name):
     register_problem(name, lambda: OdeProblem(
-        dim=2, rhs=lambda y: np.full(2, np.nan), jvp=lambda y, v: -v, name=name,
+        dim=2, rhs=lambda y: np.full(2, np.nan), linearize=lambda y: lambda v: -v, name=name,
         y0=np.ones(2), t_span=(0.0, 1.0)))
 
 
@@ -293,7 +293,7 @@ def test_run_reports_non_finite_rhs(tmp_path, capsys):
 
 def _register_nan_jvp(name):
     register_problem(name, lambda: OdeProblem(
-        dim=2, rhs=lambda y: -y, jvp=lambda y, v: np.full(2, np.nan), name=name,
+        dim=2, rhs=lambda y: -y, linearize=lambda y: lambda v: np.full(2, np.nan), name=name,
         y0=np.ones(2), t_span=(0.0, 1.0)))
 
 

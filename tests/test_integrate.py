@@ -222,7 +222,7 @@ def test_rhs_and_jvp_counting(tab):
 
 @pytest.mark.parametrize("run", ["fixed-basis", "adaptive", "integrate_fixed"])
 def test_non_finite_rhs_names_the_rhs_not_the_jvp(tab, run):
-    prob = OdeProblem(dim=2, rhs=lambda y: np.full(2, np.nan), jvp=lambda y, v: -v,
+    prob = OdeProblem(dim=2, rhs=lambda y: np.full(2, np.nan), linearize=lambda y: lambda v: -v,
                       name="nan-rhs", y0=np.ones(2), t_span=(0.5, 1.0))
     strategy = {"fixed-basis": FixedBasis(2), "adaptive": AdaptiveResidualMatchTol()}.get(run)
     with pytest.raises(NonFiniteError, match=r"right-hand side .* at t=0\.5"):
@@ -288,6 +288,7 @@ def test_benchmark_hook_points_see_every_step(tab, monkeypatch):
     for name in ("lu_factor", "lu_solve", "lu_append_column"):
         counting(linalg, name)
     prob = make_random_nonlinear(30, np.random.default_rng(50), stiffness=6.0)
+    counting(prob, "jv")  # the instance's bound method, as spans.py wraps it
     for strategy, extend in [(AdaptiveResidualMatchTol(), False),  # R=tol
                              (AdaptiveResidualMatchTol(), True),  # R=tol+ext
                              (FixedBasis(4), False)]:  # M=4
@@ -298,6 +299,7 @@ def test_benchmark_hook_points_see_every_step(tab, monkeypatch):
         attempts = stats.accepted + stats.rejected
         assert stats.rejected > 0
         assert calls["rok_step"] == attempts
+        assert calls["jv"] == stats.jvp_evals > 0
         assert calls["lu_solve"] >= tab.s * attempts
         if isinstance(strategy, FixedBasis):
             assert calls["lu_factor"] >= attempts

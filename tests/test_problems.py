@@ -104,6 +104,47 @@ def test_allen_cahn_dia_products_equal_csr_products(n):
         assert np.array_equal(getattr(jac, attr), getattr(ref, attr))
 
 
+def test_allen_cahn_products_round_as_the_public_formulas():
+    # f and Jv call the DIA kernel directly and add the reaction term in
+    # place; with alpha and gamma_rc that round, they must still equal the
+    # public sparse products bit for bit, and a linearization kept for
+    # several v must give what a fresh one gives, each product counted.
+    nx, ny, alpha, gam = 9, 7, 0.3, 0.7
+    prob = make_allen_cahn(AllenCahnSpec(nx=nx, ny=ny, alpha=alpha, gamma_rc=gam))
+    lap = (alpha * sp.kronsum(_laplacian_1d(nx, 1.0 / nx), _laplacian_1d(ny, 1.0 / ny))).tocsr()
+    rng = np.random.default_rng(36)
+    u = prob.y0 + 0.1 * rng.standard_normal(prob.dim)
+    assert np.array_equal(prob.f(u), lap @ u + gam * (u - u**3))
+    lin = prob.linearize(u)
+    prob.reset_counters()
+    for v in rng.standard_normal((4, prob.dim)):
+        kept = prob.jv(u, v, lin)
+        assert np.array_equal(kept, lap @ v + gam * (1.0 - 3.0 * u**2) * v)
+        assert np.array_equal(kept, prob.jv(u, v))
+    assert prob.n_jvp == 8
+
+
+def test_jv_without_a_kept_linearization_sees_an_in_place_change_of_y():
+    prob = make_allen_cahn(AllenCahnSpec(nx=6, ny=5, alpha=1.0))
+    u = prob.y0.copy()
+    v = np.random.default_rng(37).standard_normal(prob.dim)
+    before = prob.jv(u, v)
+    u += 0.1
+    after = prob.jv(u, v)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, prob.jv(u.copy(), v))
+
+
+def test_allen_cahn_rejects_a_vector_of_the_wrong_length():
+    # The DIA kernel reads its input unchecked; the problem checks the shape.
+    prob = make_allen_cahn(AllenCahnSpec(nx=6, ny=5, alpha=1.0))
+    short = np.ones(prob.dim - 1)
+    with pytest.raises(ValueError):
+        prob.f(short)
+    with pytest.raises(JvpFailureError):
+        prob.jv(prob.y0, short)
+
+
 def test_allen_cahn_constant_field_has_zero_diffusion():
     # With mirror-ghost (zero-flux) closure the discrete Laplacian
     # annihilates constants, so the derivative of a constant field is the
@@ -173,16 +214,30 @@ def test_counters_and_reset():
 
 
 def test_jvp_failure_is_wrapped():
-    bad = OdeProblem(dim=2, rhs=lambda y: y, jvp=lambda y, v: 1 / 0)
+    bad = OdeProblem(dim=2, rhs=lambda y: y, linearize=lambda y: lambda v: 1 / 0)
     with pytest.raises(JvpFailureError):
         bad.jv(np.ones(2), np.ones(2))
-    nonfinite = OdeProblem(dim=2, rhs=lambda y: y, jvp=lambda y, v: np.array([np.nan, 0.0]))
+    nonfinite = OdeProblem(dim=2, rhs=lambda y: y,
+                           linearize=lambda y: lambda v: np.array([np.nan, 0.0]))
     with pytest.raises(JvpFailureError):
         nonfinite.jv(np.ones(2), np.ones(2))
+    with pytest.raises(JvpFailureError, match="non-finite"):
+        nonfinite.jv(np.ones(2), np.ones(2), nonfinite.linearize(np.ones(2)))
+
+
+def test_linearize_failure_is_wrapped():
+    def linearize(y):
+        raise FloatingPointError("no linearization here")
+
+    bad = OdeProblem(dim=2, rhs=lambda y: y, linearize=linearize)
+    with pytest.raises(JvpFailureError, match="no linearization here"):
+        bad.linearize(np.ones(2))
+    with pytest.raises(JvpFailureError, match="no linearization here"):
+        bad.jv(np.ones(2), np.ones(2))
 
 
 def test_missing_jacobian_raises():
-    prob = OdeProblem(dim=2, rhs=lambda y: y, jvp=lambda y, v: v)
+    prob = OdeProblem(dim=2, rhs=lambda y: y, linearize=lambda y: lambda v: v)
     with pytest.raises(ValueError):
         prob.jacobian(np.ones(2))
 
@@ -190,11 +245,11 @@ def test_missing_jacobian_raises():
 def test_one_jacobian_callback_serves_dense_and_sparse_access():
     a = np.array([[-2.0, 1.0], [0.0, -3.0]])
     y = np.ones(2)
-    sparse_cb = OdeProblem(dim=2, rhs=lambda y: a @ y, jvp=lambda y, v: a @ v,
+    sparse_cb = OdeProblem(dim=2, rhs=lambda y: a @ y, linearize=lambda y: lambda v: a @ v,
                            jacobian=lambda y: sp.csr_matrix(a))
     dense = sparse_cb.jacobian(y)
     assert isinstance(dense, np.ndarray) and np.array_equal(dense, a)
-    dense_cb = OdeProblem(dim=2, rhs=lambda y: a @ y, jvp=lambda y, v: a @ v,
+    dense_cb = OdeProblem(dim=2, rhs=lambda y: a @ y, linearize=lambda y: lambda v: a @ v,
                           jacobian=lambda y: a)
     csc = dense_cb.sparse_jacobian(y)
     assert sp.issparse(csc) and csc.format == "csc"

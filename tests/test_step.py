@@ -141,7 +141,7 @@ def test_nonfinite_stage_rhs_raises(tab):
             return np.full(3, np.inf)
         return -y
 
-    prob = OdeProblem(dim=3, rhs=rhs, jvp=lambda y, v: -v)
+    prob = OdeProblem(dim=3, rhs=rhs, linearize=lambda y: lambda v: -v)
     y = np.ones(3)
     f = prob.f(y)
     basis = arnoldi.build_fixed(prob, y, f, 3)
@@ -159,6 +159,23 @@ def test_every_krylov_step_returns_its_stage_record(tab):
         record = step.rok_step(prob, y, 0.05, tab, basis, extend=extend).internals
         for stages in (record.k_stages, record.lambdas, record.f_stages, record.psi_stages):
             assert len(stages) == tab.s
+
+
+def test_a_reused_stage_rhs_reuses_its_projection(tab):
+    # ros4s's stage 4 reuses F_3, so psi_4 is psi_3, on plain and extended
+    # steps alike: the bitwise value a fresh V^T F_4 sweep gives.
+    assert tab.evaluates_f == (False, True, True, False)
+    rng = np.random.default_rng(53)
+    prob = make_random_nonlinear(30, rng)
+    y = rng.standard_normal(30)
+    basis = arnoldi.build_fixed(prob, y, prob.f(y), 6)
+    for extend in (False, True):
+        record = step.rok_step(prob, y, 0.05, tab, basis, extend=extend).internals
+        psi = record.psi_stages
+        assert record.f_stages[3] is record.f_stages[2]
+        assert psi[3] is psi[2]  # no second sweep of the basis
+        assert np.array_equal(psi[3], record.basis.v[:, : len(psi[3])].T @ record.f_stages[3])
+        assert len(psi[3]) == record.basis.size == basis.size + 2 * extend
 
 
 def test_extension_stats_and_growth(tab):
