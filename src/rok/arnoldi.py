@@ -40,8 +40,14 @@ only when the test needs more.  The result is the same as a fresh build.
 Beyond the pure Arnoldi loop, arbitrary vectors can be appended to the
 basis while maintaining H = V^T J V; appended columns add a zero row under
 the old Hessenberg block, so H stays upper Hessenberg.  Appends are
-written in place into spare rows, and the basis is copied only when its
-storage has no free row after it.
+written in place, in the rows after the basis in its Arnoldi process's
+storage: a basis of all the process's vectors takes over the row that
+held v_{M+1} (each basis keeps its own copy of v_{M+1}), and the process
+has EXTEND_SPARE_ROWS rows beyond m_max, so a capped basis appends in
+place too.  The basis is copied to new storage only when the row after
+it is taken already: by an earlier extend of the same basis, or, in a
+retried step, by the rejected attempt's appends or by a process vector
+that the rejected attempt's basis views.
 """
 
 from __future__ import annotations
@@ -68,9 +74,10 @@ OVERLAP_REL_TOL = 32 * np.finfo(float).eps
 #: Remainder norm <= DROP_REL_TOL * ||w|| makes extend() a no-op.
 DROP_REL_TOL = 1e-12
 
-#: Free rows reserved when extend() copies a basis into new storage.  A
-#: step appends at most s - 1 stage vectors, so one copy serves a step of
-#: up to five stages.
+#: Rows for appends after a basis's last vector: an Arnoldi process stores
+#: m_max + EXTEND_SPARE_ROWS rows, and extend() gives a basis it has to
+#: copy this many free rows.  A step appends at most s - 1 stage vectors,
+#: so a step of up to five stages appends in place.
 EXTEND_SPARE_ROWS = 4
 
 
@@ -79,7 +86,13 @@ class _Rows:
 
     Rows below ``used`` are written and never change again; a basis may
     write row ``used`` only when it is exactly ``used`` vectors long, that
-    is, when no other basis has claimed that row.
+    is, when no other basis has claimed that row.  An Arnoldi process of
+    m vectors holds row m as well, its v_{m+1}, so ``used`` is m + 1
+    while it grows.  It yields that row to the first extend of a basis of
+    all its m vectors (_ArnoldiState.yield_row): ``used`` drops to m, and
+    the process keeps v_{m+1} from the basis's own copy.  A process that
+    has yielded moves to new storage before it grows again, so no basis
+    ever sees one of its rows change.
     """
 
     def __init__(self, capacity: int, n: int):
@@ -102,8 +115,10 @@ class KrylovBasis:
     outside the Krylov sequence.  h_next/v_next are the Arnoldi overflow
     pair of the core part (h_next == 0 and v_next is None on breakdown).
     beta is the norm of the start vector, so v[:, 0] * beta recovers it.
-    v and v_next are read-only views of row storage shared with the
-    Arnoldi process (``state``) and with bases extended from this one.
+    v is a read-only view of row storage (``rows``) shared with the
+    Arnoldi process (``state``) and with bases extended from this one;
+    v_next is a read-only copy of its own, because extend may write the
+    storage row that held it.
     fac, set by build_adaptive, is the factor of I - fac.hg*h that its
     stopping test computed (None when that matrix is numerically
     singular, and on every other basis).
@@ -177,10 +192,12 @@ def _orthogonalize(z: np.ndarray, q: np.ndarray, lo: int,
 class _ArnoldiState:
     """Incrementally grown Arnoldi factorization of J(y) on K(J(y), f).
 
-    Holds m_max + 1 basis rows and the (m_max + 1, m_max) Hessenberg
-    matrix; after m steps, rows 0..m and h[:m+1, :m] are final.  lin is
-    problem.linearize(y), taken once: every product of this process, and
-    of every extend of its bases, goes through problem.jv with it.
+    Holds m_max + EXTEND_SPARE_ROWS basis rows and the (m_max + 1, m_max)
+    Hessenberg matrix; after m steps, rows 0..m and h[:m+1, :m] are final,
+    unless row m, v_{m+1}, was yielded to extend (see _Rows): then
+    ``yielded`` holds v_{m+1}.  lin is problem.linearize(y), taken once:
+    every product of this process, and of every extend of its bases, goes
+    through problem.jv with it.
     """
 
     def __init__(self, problem, y, f, m_max):
@@ -192,16 +209,31 @@ class _ArnoldiState:
             raise ZeroStartVectorError("start vector norm below threshold")
         self.beta = beta
         self.lin = problem.linearize(y)
-        self.rows = _Rows(m_max + 1, f.shape[0])
+        self.rows = _Rows(m_max + EXTEND_SPARE_ROWS, f.shape[0])
         self.rows.q[0] = f / beta
         self.rows.used = 1
         self.h = np.zeros((m_max + 1, m_max))
         self.broke_down = False
         self.m = 0
+        self.yielded: np.ndarray | None = None
+
+    def yield_row(self, basis: KrylovBasis) -> None:
+        """Give row m, v_{m+1}, to the extend of basis when basis is all m
+        vectors in this storage and no basis has taken the row before."""
+        if self.yielded is None and basis.v_next is not None and basis.rows is self.rows \
+                and basis.size == self.m:
+            self.yielded = basis.v_next
+            self.rows.used = self.m
 
     def advance(self) -> bool:
         """Add one Krylov vector; returns False on happy breakdown."""
         i = self.m
+        if self.yielded is not None:  # move to storage of its own: rows 0..i-1 and v_{i+1}
+            rows = _Rows(self.rows.q.shape[0], self.rows.q.shape[1])
+            rows.q[:i] = self.rows.q[:i]
+            rows.q[i] = self.yielded
+            rows.used = i + 1
+            self.rows, self.yielded = rows, None
         q = self.rows.q
         zeta = self.problem.jv(self.y, q[i], self.lin)
         zeta, coeffs, hnorm = _orthogonalize(zeta, q[: i + 1], max(0, i - 1), overwrite_z=True)
@@ -228,9 +260,12 @@ class _ArnoldiState:
         if self.broke_down and size >= self.m:
             size = self.m
             h_next, v_next = 0.0, None
+        elif size == self.m and self.yielded is not None:
+            h_next, v_next = float(self.h[size, size - 1]), self.yielded
         else:
             h_next = float(self.h[size, size - 1])
-            v_next = self.rows.view(size + 1)[:, size]
+            v_next = self.rows.q[size].copy()
+            v_next.flags.writeable = False
         return KrylovBasis(
             v=self.rows.view(size),
             h=self.h[:size, :size].copy(),
@@ -303,7 +338,7 @@ def build_adaptive(
     return state.snapshot(m_max, hit_cap=True, fac=lu.factorization())
 
 
-def extend(basis: KrylovBasis, problem, y: np.ndarray, w: np.ndarray) -> KrylovBasis:
+def extend(basis: KrylovBasis, w: np.ndarray) -> KrylovBasis:
     """Append the component of w orthogonal to span(V).
 
     Returns the basis unchanged when w is already in the span (remainder
@@ -316,8 +351,10 @@ def extend(basis: KrylovBasis, problem, y: np.ndarray, w: np.ndarray) -> KrylovB
     overlap of appended vectors with v_{M+1}; the extended relation, not
     the projection identity, is the property the residual theory needs.)
     The J-products of appended vectors are retained so later appends can
-    fill in their rows.  They go through problem.jv with the
-    linearization of the basis's Arnoldi process, which was built at y.
+    fill in their rows.  They go through the problem's jv with the
+    linearization of the basis's Arnoldi process (basis.state).  v_bar is
+    written into the storage row after the basis when no other basis has
+    claimed it (see _Rows), and into a copy of the basis otherwise.
     w is not modified.
     """
     w = np.asarray(w, dtype=float)
@@ -329,9 +366,11 @@ def extend(basis: KrylovBasis, problem, y: np.ndarray, w: np.ndarray) -> KrylovB
     if remnorm <= DROP_REL_TOL * wnorm:
         return basis
     vbar = rem / remnorm
-    jvbar = problem.jv(y, vbar, basis.state.lin)
+    state = basis.state
+    jvbar = state.problem.jv(state.y, vbar, state.lin)
+    state.yield_row(basis)
     rows = basis.rows
-    if rows is None or rows.used != m or rows.q.shape[0] == m:
+    if rows.used != m or rows.q.shape[0] == m:
         rows = _Rows(m + EXTEND_SPARE_ROWS, basis.dim)
         rows.q[:m] = basis.v.T
     rows.q[m] = vbar

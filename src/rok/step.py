@@ -148,7 +148,7 @@ def rok_step(
     def solve_stage(i, f_i, ks):
         nonlocal basis, fac
         if extend and tab.evaluates_f[i]:
-            grown = arnoldi.extend(basis, problem, y, f_i)
+            grown = arnoldi.extend(basis, f_i)
             if grown.size > basis.size:
                 try:
                     fac = linalg.lu_append_column(

@@ -2,10 +2,11 @@
 
 This module imports only numpy, so no oracle shares code with what it
 checks.  Problems, step internals and tableaus come in as arguments and
-are read only through their public attributes: a problem's jv, a step's
-recorded stages, and a tableau's raw coefficients (alpha, gamma_lower,
-gamma, b).  The block matrices are assembled here with np.kron, and
-everything is dense, for small problems only.
+are read only through their public attributes: a problem's f, linearize
+and jv, a step's recorded stages, and a tableau's raw coefficients
+(alpha, gamma_lower, gamma, b).  The block matrices are assembled here
+with np.kron, the Jacobian of the dense Rosenbrock step column by column
+from jv, and everything is dense, for small problems only.
 """
 
 import numpy as np
@@ -78,3 +79,73 @@ def max_stable_step(jac, a, tab, h_grid):
         if rho <= 1.0 + 1e-12:
             best = h
     return best
+
+
+def _cholesky_solver(a):
+    """b -> a^{-1} b for a symmetric positive definite a, through one block
+    Cholesky factor a = L L^T, which overwrites a.
+
+    Each block column of L updates only the rows down to its last nonzero
+    one, so a banded a costs its band, and any other a the dense count.
+    """
+    n = a.shape[0]
+    low = a
+    blocks = [(s, min(s + 32, n)) for s in range(0, n, 32)]
+    inverses = []  # of the diagonal blocks of L
+    for s, e in blocks:
+        low[s:e, s:e] = np.linalg.cholesky(low[s:e, s:e])
+        low[s:e, e:] = 0.0
+        inverses.append(np.linalg.inv(low[s:e, s:e]))
+        rows = np.flatnonzero(low[e:, s:e].any(axis=1))
+        if rows.size:
+            last = e + rows[-1] + 1
+            panel = low[e:last, s:e] = low[e:last, s:e] @ inverses[-1].T
+            low[e:last, e:last] -= panel @ panel.T
+
+    def solve(b):
+        x = b.copy()
+        for (s, e), inv in zip(blocks, inverses):  # L z = b
+            x[s:e] = inv @ x[s:e]
+            x[e:] -= low[e:, s:e] @ x[s:e]
+        for (s, e), inv in zip(reversed(blocks), reversed(inverses)):  # L^T x = z
+            x[s:e] = x[s:e] @ inv
+            x[:s] -= x[s:e] @ low[s:e, :s]
+        return x
+
+    return solve
+
+
+def dense_rosenbrock_step(problem, y, h, tab):
+    """One classical Rosenbrock step with the exact Jacobian J = J(y).
+
+    Stage i solves
+
+        (I - h gamma J) k_i = h f(y + sum_{j<i} alpha_ij k_j) + h J sum_{j<i} gamma_ij k_j
+
+    with the tableau's raw alpha, gamma_lower and gamma, through one
+    Cholesky factor of the dense I - h gamma J, whose J is assembled
+    column by column, J e_j from problem.jv.  So J must be symmetric and
+    I - h gamma J positive definite; each stage checks its solution with
+    one more jv, which a nonsymmetric J fails.  Returns y + sum_i b_i k_i.
+    """
+    n = y.shape[0]
+    lin = problem.linearize(y)
+    unit = np.zeros(n)
+    lhs_t = np.empty((n, n))  # row j is J e_j, until it becomes (I - h gamma J)^T
+    for j in range(n):
+        unit[j] = 1.0
+        lhs_t[j] = problem.jv(y, unit, lin)
+        unit[j] = 0.0
+    lhs_t *= -h * tab.gamma
+    lhs_t[np.diag_indices(n)] += 1.0
+    solve = _cholesky_solver(lhs_t)
+    ks = []
+    for i in range(tab.s):
+        stage_y = y + sum((tab.alpha[i, j] * ks[j] for j in range(i)), np.zeros(n))
+        coupling = sum((tab.gamma_lower[i, j] * ks[j] for j in range(i)), np.zeros(n))
+        rhs = h * problem.f(stage_y) + h * problem.jv(y, coupling, lin)
+        k = solve(rhs)
+        if np.linalg.norm(k - h * tab.gamma * problem.jv(y, k, lin) - rhs) > 1e-10 * np.linalg.norm(rhs):
+            raise ValueError(f"stage {i + 1} does not solve its system: is J symmetric?")
+        ks.append(k)
+    return y + sum((tab.b[i] * ks[i] for i in range(tab.s)), np.zeros(n))

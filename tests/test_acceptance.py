@@ -97,7 +97,7 @@ def test_criterion_3_arnoldi_invariants():
         # 1-4 arbitrary extensions: orthonormality and the extended
         # recurrence (out-of-span parts of J on the appended vectors)
         for _ in range(int(rng.integers(1, 5))):
-            basis = arnoldi.extend(basis, prob, y, rng.standard_normal(n))
+            basis = arnoldi.extend(basis, rng.standard_normal(n))
         sz = basis.size
         v, h = basis.v, basis.h
         assert np.max(np.abs(v.T @ v - np.eye(sz))) <= 1e-12

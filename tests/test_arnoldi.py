@@ -191,7 +191,7 @@ def test_extend_keeps_orthonormality_and_extended_recurrence():
         basis = arnoldi.build_fixed(prob, y, f, m)
         n_ext = int(rng.integers(1, 5))
         for _ in range(n_ext):
-            basis = arnoldi.extend(basis, prob, y, rng.standard_normal(n))
+            basis = arnoldi.extend(basis, rng.standard_normal(n))
         jac = prob.jacobian(y)
         v, h = basis.v, basis.h
         sz = basis.size
@@ -215,9 +215,9 @@ def test_extend_is_noop_for_in_span_vector():
     f = prob.f(y)
     basis = arnoldi.build_fixed(prob, y, f, 4)
     w = basis.v @ rng.standard_normal(4)  # lies in the span
-    same = arnoldi.extend(basis, prob, y, w)
+    same = arnoldi.extend(basis, w)
     assert same.size == basis.size
-    zero = arnoldi.extend(basis, prob, y, np.zeros(12))
+    zero = arnoldi.extend(basis, np.zeros(12))
     assert zero.size == basis.size
 
 
@@ -230,7 +230,7 @@ def test_extend_leaves_w_unchanged():
     basis = arnoldi.build_fixed(prob, y, prob.f(y), 5)
     w = rng.standard_normal(30)
     saved = w.copy()
-    grown = arnoldi.extend(basis, prob, y, w)
+    grown = arnoldi.extend(basis, w)
     assert grown.size == basis.size + 1
     assert np.array_equal(w, saved)
 
@@ -250,8 +250,7 @@ def test_one_linearization_serves_an_arnoldi_process_and_its_extensions():
     kept = arnoldi.build_adaptive(prob, y, f, 0.05, 0.5, 1e-6, 20)
     again = arnoldi.build_adaptive(prob, y, f, 0.2, 0.5, 1e-10, 20, previous=kept)
     assert again.size > kept.size
-    grown = arnoldi.extend(arnoldi.extend(again, prob, y, rng.standard_normal(30)),
-                           prob, y, rng.standard_normal(30))
+    grown = arnoldi.extend(arnoldi.extend(again, rng.standard_normal(30)), rng.standard_normal(30))
     assert grown.size == again.size + 2 and prob.n_jvp == again.state.m + 2
     assert len(states) == 1 and states[0] is y
     arnoldi.build_fixed(prob, y, f, 3)
@@ -276,8 +275,8 @@ def test_extend_appended_column_is_projected_jacobian_product():
     f = prob.f(y)
     basis = arnoldi.build_fixed(prob, y, f, 5)
     w1, w2 = rng.standard_normal(15), rng.standard_normal(15)
-    ext1 = arnoldi.extend(basis, prob, y, w1)
-    ext2 = arnoldi.extend(ext1, prob, y, w2)
+    ext1 = arnoldi.extend(basis, w1)
+    ext2 = arnoldi.extend(ext1, w2)
     jac = prob.jacobian(y)
     v = ext2.v
     # each appended column of H equals V^T J v_bar with the final V,
@@ -300,7 +299,7 @@ def test_extended_h_equals_projected_jacobian():
     y = rng.standard_normal(30)
     f = prob.f(y)
     basis = arnoldi.build_fixed(prob, y, f, 6)
-    basis = arnoldi.extend(basis, prob, y, rng.standard_normal(30))
+    basis = arnoldi.extend(basis, rng.standard_normal(30))
     jac = prob.jacobian(y)
     dev = np.max(np.abs(basis.h - basis.v.T @ jac @ basis.v))
     assert dev <= 1e-10
@@ -374,7 +373,7 @@ def test_kernel_matches_mgs_oracle_in_krylov_regime():
     basis = arnoldi.build_fixed(prob, y, f, m)
     assert basis.size == m
     for w in ws:
-        basis = arnoldi.extend(basis, prob, y, w)
+        basis = arnoldi.extend(basis, w)
     assert basis.size == m + 2
 
     def jv(vec):
@@ -493,7 +492,7 @@ def test_kernel_keeps_adaptive_extended_and_nonsymmetric_bases_orthonormal():
     assert np.max(np.abs(basis.v.T @ basis.v - np.eye(48))) <= 1e-14
     rng = np.random.default_rng(21)
     for _ in range(2):
-        basis = arnoldi.extend(basis, prob, y, prob.f(y + 0.01 * rng.standard_normal(y.size)))
+        basis = arnoldi.extend(basis, prob.f(y + 0.01 * rng.standard_normal(y.size)))
     assert basis.size == 50
     assert np.max(np.abs(basis.v.T @ basis.v - np.eye(50))) <= 1e-12
     rng = np.random.default_rng(33)
@@ -504,17 +503,13 @@ def test_kernel_keeps_adaptive_extended_and_nonsymmetric_bases_orthonormal():
     assert np.max(np.abs(basis.v.T @ basis.v - np.eye(40))) <= 1e-12
 
 
-@pytest.mark.parametrize("h_first,h_again", [(1e-2, 5e-3), (5e-3, 1e-2), (1e-1, 5e-2)])
-def test_adaptive_reuse_is_bitwise_a_fresh_build(h_first, h_again):
+def _assert_reuse_is_a_fresh_build(prob, kept, h_again):
     # Rerunning the stopping test at a new step size on a kept Arnoldi
     # process must give exactly the basis of a fresh build, and call jv
-    # only for vectors beyond those already built.  (1e-1, 5e-2) hits the
-    # cap both times; (5e-3, 1e-2) has to grow the basis.
-    prob = make_allen_cahn(AllenCahnSpec(32, 32, alpha=1.0))
-    y = prob.y0
+    # only for vectors beyond those already built.
+    y = kept.state.y
     f = prob.f(y)
     gamma = default_tableau().gamma
-    kept = arnoldi.build_adaptive(prob, y, f, h_first, gamma, 1e-6, 48)
     built = kept.state.m
     before = prob.n_jvp
     again = arnoldi.build_adaptive(prob, y, f, h_again, gamma, 1e-6, 48, previous=kept)
@@ -530,6 +525,58 @@ def test_adaptive_reuse_is_bitwise_a_fresh_build(h_first, h_again):
     assert again.h_next == fresh.h_next
     assert np.array_equal(again.v_next, fresh.v_next)
     assert again.hit_cap == fresh.hit_cap
+
+
+@pytest.mark.parametrize("h_first,h_again", [(1e-2, 5e-3), (5e-3, 1e-2), (1e-1, 5e-2)])
+def test_adaptive_reuse_is_bitwise_a_fresh_build(h_first, h_again):
+    # (1e-1, 5e-2) hits the cap both times; (5e-3, 1e-2) has to grow the
+    # basis.
+    prob = make_allen_cahn(AllenCahnSpec(32, 32, alpha=1.0))
+    y = prob.y0
+    kept = arnoldi.build_adaptive(prob, y, prob.f(y), h_first, default_tableau().gamma, 1e-6, 48)
+    _assert_reuse_is_a_fresh_build(prob, kept, h_again)
+
+
+@pytest.mark.parametrize("h_first,h_again", [(1e-2, 5e-3), (5e-3, 1e-2), (1e-1, 5e-2)])
+def test_adaptive_reuse_after_extend_is_bitwise_a_fresh_build(h_first, h_again):
+    # The first extend of a basis of all the process's vectors takes the
+    # storage row that held v_{M+1}.  A second extend of the same basis
+    # claims the row after it, so the store's used count is M + 1 again,
+    # as if nothing had been yielded.  The process must still regrow
+    # exactly the basis of a fresh build, and leave both extensions intact.
+    prob = make_allen_cahn(AllenCahnSpec(32, 32, alpha=1.0))
+    y = prob.y0
+    kept = arnoldi.build_adaptive(prob, y, prob.f(y), h_first, default_tableau().gamma, 1e-6, 48)
+    rng = np.random.default_rng(26)
+    extended = [arnoldi.extend(kept, rng.standard_normal(y.size)) for _ in range(2)]
+    assert all(b.size == kept.size + 1 for b in extended)
+    saved = [b.v.copy() for b in extended]
+    _assert_reuse_is_a_fresh_build(prob, kept, h_again)
+    for b, v in zip(extended, saved):
+        assert np.array_equal(b.v, v)
+
+
+@pytest.mark.parametrize("m_max", [48, 12])
+def test_an_extended_step_appends_in_the_arnoldi_storage(m_max):
+    # Below the cap (m_max 48) and at it (m_max 12), the stage vectors of
+    # an extended step go into the rows after the basis, in the storage of
+    # its Arnoldi process: the step copies no basis.
+    prob = make_allen_cahn(AllenCahnSpec(32, 32, alpha=1.0))
+    y = prob.y0
+    tab = default_tableau()
+    f = prob.f(y)
+    basis = arnoldi.build_adaptive(prob, y, f, 1e-2, tab.gamma, 1e-6, m_max)
+    assert basis.hit_cap == (basis.size == m_max == 12)
+    res = step.rok_step(prob, y, 1e-2, tab, basis, extend=True)
+    assert res.stats.extensions == 2
+    assert np.shares_memory(res.internals.basis.v, basis.v)
+    # A retry from the same state reuses the process, whose rows after the
+    # new basis the first attempt's bases view: its extension copies.
+    saved = res.internals.basis.v.copy()
+    again = arnoldi.build_adaptive(prob, y, f, 5e-3, tab.gamma, 1e-6, m_max, previous=basis)
+    retried = step.rok_step(prob, y, 5e-3, tab, again, extend=True)
+    assert not np.shares_memory(retried.internals.basis.v, again.v)
+    assert np.array_equal(res.internals.basis.v, saved)
 
 
 def test_adaptive_reuse_rejects_a_basis_of_another_state():
@@ -550,11 +597,11 @@ def test_extend_in_place_leaves_other_bases_intact():
     y = rng.standard_normal(30)
     base = arnoldi.build_fixed(prob, y, prob.f(y), 5)
     v_next = base.v_next.copy()
-    one = arnoldi.extend(base, prob, y, rng.standard_normal(30))
-    two = arnoldi.extend(one, prob, y, rng.standard_normal(30))
+    one = arnoldi.extend(base, rng.standard_normal(30))
+    two = arnoldi.extend(one, rng.standard_normal(30))
     saved = [b.v.copy() for b in (base, one, two)]
-    other = arnoldi.extend(one, prob, y, rng.standard_normal(30))
-    again = arnoldi.extend(base, prob, y, rng.standard_normal(30))
+    other = arnoldi.extend(one, rng.standard_normal(30))
+    again = arnoldi.extend(base, rng.standard_normal(30))
     for b, v in zip((base, one, two), saved):
         assert np.array_equal(b.v, v)
     assert np.array_equal(base.v_next, v_next)

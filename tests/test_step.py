@@ -245,7 +245,7 @@ def test_step_refactors_a_basis_whose_factor_does_not_fit(tab, monkeypatch):
     other = step.rok_step(prob, y, 0.5 * h, tab, basis).y_new
     assert len(calls) == 1
     assert np.array_equal(other, step.rok_step(prob, y, 0.5 * h, tab, bare).y_new)
-    grown = arnoldi.extend(basis, prob, y, rng.standard_normal(40))
+    grown = arnoldi.extend(basis, rng.standard_normal(40))
     assert grown.size == basis.size + 1 and grown.fac is None
     calls.clear()
     mismatched = step.rok_step(prob, y, h, tab, replace(grown, fac=basis.fac)).y_new
