@@ -41,13 +41,12 @@ Beyond the pure Arnoldi loop, arbitrary vectors can be appended to the
 basis while maintaining H = V^T J V; appended columns add a zero row under
 the old Hessenberg block, so H stays upper Hessenberg.  Appends are
 written in place, in the rows after the basis in its Arnoldi process's
-storage: a basis of all the process's vectors takes over the row that
-held v_{M+1} (each basis keeps its own copy of v_{M+1}), and the process
-has EXTEND_SPARE_ROWS rows beyond m_max, so a capped basis appends in
-place too.  The basis is copied to new storage only when the row after
-it is taken already: by an earlier extend of the same basis, or, in a
-retried step, by the rejected attempt's appends or by a process vector
-that the rejected attempt's basis views.
+storage.  The process writes v_{M+1} into a row only when it grows into
+it, and it stores EXTEND_SPARE_ROWS rows beyond m_max, so a basis of all
+its vectors appends in place, capped or not.  The basis is copied to new
+storage only when the row after it is taken already: by a process vector
+(a basis smaller than its process, as in a retried step) or by an append
+to another basis.
 """
 
 from __future__ import annotations
@@ -74,10 +73,10 @@ OVERLAP_REL_TOL = 32 * np.finfo(float).eps
 #: Remainder norm <= DROP_REL_TOL * ||w|| makes extend() a no-op.
 DROP_REL_TOL = 1e-12
 
-#: Rows for appends after a basis's last vector: an Arnoldi process stores
-#: m_max + EXTEND_SPARE_ROWS rows, and extend() gives a basis it has to
-#: copy this many free rows.  A step appends at most s - 1 stage vectors,
-#: so a step of up to five stages appends in place.
+#: Rows for appends after a basis's last vector: an Arnoldi process claims
+#: at most m_max of its m_max + EXTEND_SPARE_ROWS rows, and extend() gives
+#: a basis it has to copy this many free rows.  A step appends at most
+#: s - 1 stage vectors, so a step of up to five stages appends in place.
 EXTEND_SPARE_ROWS = 4
 
 
@@ -87,12 +86,9 @@ class _Rows:
     Rows below ``used`` are written and never change again; a basis may
     write row ``used`` only when it is exactly ``used`` vectors long, that
     is, when no other basis has claimed that row.  An Arnoldi process of
-    m vectors holds row m as well, its v_{m+1}, so ``used`` is m + 1
-    while it grows.  It yields that row to the first extend of a basis of
-    all its m vectors (_ArnoldiState.yield_row): ``used`` drops to m, and
-    the process keeps v_{m+1} from the basis's own copy.  A process that
-    has yielded moves to new storage before it grows again, so no basis
-    ever sees one of its rows change.
+    m vectors claims rows 0..m-1 and writes v_{m+1} into row m only when
+    it grows; when a basis has claimed row m by then, the process moves
+    to new storage first.  So no basis ever sees one of its rows change.
     """
 
     def __init__(self, capacity: int, n: int):
@@ -116,9 +112,9 @@ class KrylovBasis:
     pair of the core part (h_next == 0 and v_next is None on breakdown).
     beta is the norm of the start vector, so v[:, 0] * beta recovers it.
     v is a read-only view of row storage (``rows``) shared with the
-    Arnoldi process (``state``) and with bases extended from this one;
-    v_next is a read-only copy of its own, because extend may write the
-    storage row that held it.
+    Arnoldi process (``state``) and with bases extended from this one.
+    v_next is a read-only view of the store row after the basis, or a
+    vector of its own when the basis holds all of the process's vectors.
     fac, set by build_adaptive, is the factor of I - fac.hg*h that its
     stopping test computed (None when that matrix is numerically
     singular, and on every other basis).
@@ -193,11 +189,12 @@ class _ArnoldiState:
     """Incrementally grown Arnoldi factorization of J(y) on K(J(y), f).
 
     Holds m_max + EXTEND_SPARE_ROWS basis rows and the (m_max + 1, m_max)
-    Hessenberg matrix; after m steps, rows 0..m and h[:m+1, :m] are final,
-    unless row m, v_{m+1}, was yielded to extend (see _Rows): then
-    ``yielded`` holds v_{m+1}.  lin is problem.linearize(y), taken once:
-    every product of this process, and of every extend of its bases, goes
-    through problem.jv with it.
+    Hessenberg matrix; after m steps, rows 0..m-1 and h[:m+1, :m] are
+    final, and v_{m+1} is pending as the remainder z and its norm, which
+    advance divides into row m (at m = 0, z is f and its norm beta).
+    lin is problem.linearize(y), taken once: every product of this
+    process, and of every extend of its bases, goes through problem.jv
+    with it.
     """
 
     def __init__(self, problem, y, f, m_max):
@@ -210,43 +207,31 @@ class _ArnoldiState:
         self.beta = beta
         self.lin = problem.linearize(y)
         self.rows = _Rows(m_max + EXTEND_SPARE_ROWS, f.shape[0])
-        self.rows.q[0] = f / beta
-        self.rows.used = 1
+        self.z, self.znorm = f, beta
         self.h = np.zeros((m_max + 1, m_max))
         self.broke_down = False
         self.m = 0
-        self.yielded: np.ndarray | None = None
-
-    def yield_row(self, basis: KrylovBasis) -> None:
-        """Give row m, v_{m+1}, to the extend of basis when basis is all m
-        vectors in this storage and no basis has taken the row before."""
-        if self.yielded is None and basis.v_next is not None and basis.rows is self.rows \
-                and basis.size == self.m:
-            self.yielded = basis.v_next
-            self.rows.used = self.m
 
     def advance(self) -> bool:
         """Add one Krylov vector; returns False on happy breakdown."""
         i = self.m
-        if self.yielded is not None:  # move to storage of its own: rows 0..i-1 and v_{i+1}
-            rows = _Rows(self.rows.q.shape[0], self.rows.q.shape[1])
-            rows.q[:i] = self.rows.q[:i]
-            rows.q[i] = self.yielded
-            rows.used = i + 1
-            self.rows, self.yielded = rows, None
+        if self.rows.used != i:  # a basis has claimed row i: move to storage of its own
+            old = self.rows.q
+            self.rows = _Rows(*old.shape)
+            self.rows.q[:i] = old[:i]
         q = self.rows.q
+        np.divide(self.z, self.znorm, out=q[i])
+        self.rows.used = i + 1
         zeta = self.problem.jv(self.y, q[i], self.lin)
         zeta, coeffs, hnorm = _orthogonalize(zeta, q[: i + 1], max(0, i - 1), overwrite_z=True)
         self.h[: i + 1, i] = coeffs
         self.h[i + 1, i] = hnorm
         self.m = i + 1
+        self.z, self.znorm = zeta, hnorm
         # ||J q_i||, by Pythagoras from the coefficients and the remainder
-        if hnorm <= BREAKDOWN_REL_TOL * math.hypot(float(np.linalg.norm(coeffs)), hnorm):
-            self.broke_down = True
-            return False
-        np.divide(zeta, hnorm, out=q[i + 1])
-        self.rows.used = i + 2
-        return True
+        jq_norm = math.hypot(float(np.linalg.norm(coeffs)), hnorm)
+        self.broke_down = hnorm <= BREAKDOWN_REL_TOL * jq_norm
+        return not self.broke_down
 
     def reach(self, size: int) -> bool:
         """Advance until the factorization has size vectors; False when a
@@ -260,11 +245,9 @@ class _ArnoldiState:
         if self.broke_down and size >= self.m:
             size = self.m
             h_next, v_next = 0.0, None
-        elif size == self.m and self.yielded is not None:
-            h_next, v_next = float(self.h[size, size - 1]), self.yielded
         else:
             h_next = float(self.h[size, size - 1])
-            v_next = self.rows.q[size].copy()
+            v_next = self.z / self.znorm if size == self.m else self.rows.q[size]
             v_next.flags.writeable = False
         return KrylovBasis(
             v=self.rows.view(size),
@@ -368,7 +351,6 @@ def extend(basis: KrylovBasis, w: np.ndarray) -> KrylovBasis:
     vbar = rem / remnorm
     state = basis.state
     jvbar = state.problem.jv(state.y, vbar, state.lin)
-    state.yield_row(basis)
     rows = basis.rows
     if rows.used != m or rows.q.shape[0] == m:
         rows = _Rows(m + EXTEND_SPARE_ROWS, basis.dim)

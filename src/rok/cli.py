@@ -132,11 +132,12 @@ def load_config(path) -> configparser.ConfigParser:
     cp.read_string(DEFAULT_CONFIG)
     if path is not None:
         p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file {p} does not exist")
         user = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         try:
-            user.read(p)
+            with p.open(encoding="utf-8") as fh:
+                user.read_file(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {p}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"config parse error in {p}: {exc}") from exc
         for section in user.sections():
@@ -271,6 +272,16 @@ def _checked_config(args) -> tuple[configparser.ConfigParser, Settings]:
     return cp, settings
 
 
+def _out_path(args, default: str) -> Path:
+    """--out, else default; a ConfigError unless it names a file in an
+    existing directory, so that a command never computes what it cannot
+    write."""
+    out = Path(args.out or default)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"--out {out} is not a file in an existing directory")
+    return out
+
+
 def cmd_run(args) -> int:
     cp, settings = _checked_config(args)
     problem = _problem_from_config(cp)
@@ -360,6 +371,7 @@ def _compute_reference(problem, settings):
 
 def cmd_sweep(args) -> int:
     cp, settings = _checked_config(args)
+    out = _out_path(args, "sweep.csv")
     problem = _problem_from_config(cp)
     y_ref = _sweep_reference(cp, problem, settings)
     if y_ref is None:
@@ -372,7 +384,6 @@ def cmd_sweep(args) -> int:
     writer = csv.DictWriter(buf, fieldnames=SWEEP_CSV_HEADER, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    out = Path(args.out) if args.out else Path("sweep.csv")
     out.write_text(buf.getvalue(), encoding="utf-8")
     print(f"wrote {len(rows)} records to {out}")
     return 0
@@ -380,11 +391,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_reference(args) -> int:
     cp, settings = _checked_config(args)
+    out = _out_path(args, "reference.bin")
     problem = _problem_from_config(cp)
     y_ref = _compute_reference(problem, settings)
     if y_ref is None:
         return 1
-    out = Path(args.out) if args.out else Path("reference.bin")
     reference.write_reference(out, y_ref, {
         "problem": problem.name,
         "rtol": settings.reference["rtol"],
@@ -396,7 +407,16 @@ def cmd_reference(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    """Write h, rho(R), rho_effective and M per basis size M and step h.
+
+    rho_effective is rho(R_eff(hJ, hA)) with A = V H V^T built once, from
+    y0: the worst direction of a map the method never applies twice, as
+    every step builds its basis from f(y) at its own state.  On the
+    default config at h = 10 it reads 6233 for M=4, while 30 fixed M=4
+    steps of rok_step shrink the state by 0.240 per step.
+    """
     _, settings = _checked_config(args)
+    out = _out_path(args, "stability.csv")
     tab = settings.tableau
     problem, h_grid, m_list = settings.stability
     jac = problem.jacobian(problem.y0)
@@ -413,7 +433,6 @@ def cmd_stability(args) -> int:
         for h, rho in zip(h_grid, rho_classic):
             rho_effective = linalg.spectral_radius(stability.transfer_matrix_analytic(jac, a, tab, h))
             writer.writerow([h, rho, rho_effective, basis.size])
-    out = Path(args.out) if args.out else Path("stability.csv")
     out.write_text(buf.getvalue(), encoding="utf-8")
     print(f"wrote stability scan to {out}")
     return 0

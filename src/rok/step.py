@@ -225,7 +225,8 @@ def stage_residual_formula(problem, internals: StepInternals, i: int) -> np.ndar
               - h (I - V_i V_i^T) J V_i[:, M:] Lambda[M:].
 
     Without extension the last term is empty; with it, F_j is in the span
-    of V_j and the first term is roundoff.
+    of V_j and the first term is roundoff.  Both Jv products use the
+    linearization of the basis's Arnoldi process (basis.state.lin).
     """
     h = internals.h
     basis = internals.basis
@@ -241,10 +242,11 @@ def stage_residual_formula(problem, internals: StepInternals, i: int) -> np.ndar
         lam_sum += gamma_full[i, j] * _padded(internals.lambdas[j], dim_i)
         out_of_span += gamma_full[i, j] * (internals.f_stages[j] - basis.v[:, : len(psi)] @ psi)
 
-    r = -h * h * problem.jv(internals.y, out_of_span)
+    lin = basis.state.lin
+    r = -h * h * problem.jv(internals.y, out_of_span, lin)
     if basis.h_next != 0.0:
         r -= h * basis.h_next * basis.v_next * lam_sum[m_core - 1]
     if dim_i > m_core:
-        z = problem.jv(internals.y, v_i[:, m_core:] @ lam_sum[m_core:])
+        z = problem.jv(internals.y, v_i[:, m_core:] @ lam_sum[m_core:], lin)
         r -= h * (z - v_i @ (v_i.T @ z))
     return r

@@ -539,11 +539,12 @@ def test_adaptive_reuse_is_bitwise_a_fresh_build(h_first, h_again):
 
 @pytest.mark.parametrize("h_first,h_again", [(1e-2, 5e-3), (5e-3, 1e-2), (1e-1, 5e-2)])
 def test_adaptive_reuse_after_extend_is_bitwise_a_fresh_build(h_first, h_again):
-    # The first extend of a basis of all the process's vectors takes the
-    # storage row that held v_{M+1}.  A second extend of the same basis
-    # claims the row after it, so the store's used count is M + 1 again,
-    # as if nothing had been yielded.  The process must still regrow
-    # exactly the basis of a fresh build, and leave both extensions intact.
+    # The first extend of a basis of all the process's vectors takes
+    # storage row M, the row the process would grow into next; a second
+    # extend of the same basis copies it.  A process that grows past the
+    # extended basis, as (5e-3, 1e-2) does, moves to new storage first: it
+    # must regrow exactly the basis of a fresh build, and leave both
+    # extensions intact.
     prob = make_allen_cahn(AllenCahnSpec(32, 32, alpha=1.0))
     y = prob.y0
     kept = arnoldi.build_adaptive(prob, y, prob.f(y), h_first, default_tableau().gamma, 1e-6, 48)
@@ -554,6 +555,28 @@ def test_adaptive_reuse_after_extend_is_bitwise_a_fresh_build(h_first, h_again):
     _assert_reuse_is_a_fresh_build(prob, kept, h_again)
     for b, v in zip(extended, saved):
         assert np.array_equal(b.v, v)
+    grew = kept.state.m > kept.size
+    assert grew == ((h_first, h_again) == (5e-3, 1e-2))
+    assert (kept.state.rows is not kept.rows) == grew
+
+
+def test_a_basis_below_its_process_views_v_next():
+    # A basis smaller than its Arnoldi process, which is what a retried
+    # step gets, views the process's next row as v_next and copies no
+    # n-vector; a basis of all the process's vectors has a v_next of its
+    # own.  Both are read-only.
+    prob = make_allen_cahn(AllenCahnSpec(32, 32, alpha=1.0))
+    y = prob.y0
+    f = prob.f(y)
+    gamma = default_tableau().gamma
+    kept = arnoldi.build_adaptive(prob, y, f, 1e-2, gamma, 1e-6, 48)
+    again = arnoldi.build_adaptive(prob, y, f, 5e-3, gamma, 1e-6, 48, previous=kept)
+    assert again.size < again.state.m == kept.size
+    assert np.shares_memory(again.v_next, again.rows.q)
+    assert not np.shares_memory(kept.v_next, kept.rows.q)
+    for b in (kept, again):
+        with pytest.raises(ValueError):
+            b.v_next[0] = 1.0
 
 
 @pytest.mark.parametrize("m_max", [48, 12])

@@ -202,6 +202,39 @@ def test_missing_config_file_errors(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _forbid_computation(monkeypatch):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the config was checked")
+    monkeypatch.setattr(cli, "integrate", computed)
+    monkeypatch.setattr(cli.reference, "compute_reference", computed)
+    monkeypatch.setattr(cli.stability, "transfer_matrix_analytic", computed)
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, monkeypatch, case):
+    _forbid_computation(monkeypatch)
+    path = tmp_path
+    if case == "not-utf8":
+        data = np.random.default_rng(47).integers(0, 256, 512, dtype=np.uint8).tobytes()
+        with pytest.raises(UnicodeDecodeError):
+            data.decode("utf-8")
+        path = tmp_path / "config.ini"
+        path.write_bytes(data)
+    assert cli.main(["--config", str(path), "run"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["sweep", "reference", "stability"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch, command, where):
+    _forbid_computation(monkeypatch)
+    out = tmp_path / "missing" / "out.csv" if where == "missing-directory" else tmp_path
+    cfg = str(write(tmp_path, DAHLQUIST_RUN))
+    assert cli.main(["--config", cfg, "--out", str(out), command]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_run_dahlquist(tmp_path, capsys):
     rc = cli.main(["--config", str(write(tmp_path, DAHLQUIST_RUN)), "run"])
     out = capsys.readouterr().out

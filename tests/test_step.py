@@ -88,6 +88,23 @@ def test_residual_formula_extended_matches_direct(tab):
             assert np.linalg.norm(d - f) <= 1e-9 * np.linalg.norm(d) + 1e-13
 
 
+@pytest.mark.parametrize("extend", [False, True])
+def test_residual_formula_reuses_the_basis_linearization(tab, extend):
+    # The step's basis holds the linearization of its state, so the
+    # closed-form residual calls no linearize of its own.
+    rng = np.random.default_rng(46)
+    base = make_random_nonlinear(30, rng)
+    calls = []
+    prob = OdeProblem(dim=30, rhs=base.f,
+                      linearize=lambda y: calls.append(y) or base.linearize(y))
+    res = run_step(prob, rng.standard_normal(30), 0.05, tab, 4, extend=extend)
+    assert (res.stats.extensions > 0) == extend
+    assert len(calls) == 1  # the basis build
+    for i in range(tab.s):
+        step.stage_residual_formula(prob, res.internals, i)
+    assert len(calls) == 1
+
+
 def test_first_stage_residual_matches_direct(tab):
     rng = np.random.default_rng(44)
     for _ in range(10):
