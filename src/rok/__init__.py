@@ -19,7 +19,6 @@ from .errors import (
 )
 from .integrate import (
     AdaptiveResidual,
-    AdaptiveResidualMatchTol,
     FixedBasis,
     IntegratorConfig,
     Solution,
@@ -32,7 +31,6 @@ from .tableau import Tableau, default_tableau, load_tableau
 
 __all__ = [
     "AdaptiveResidual",
-    "AdaptiveResidualMatchTol",
     "AllenCahnSpec",
     "FixedBasis",
     "IntegratorConfig",

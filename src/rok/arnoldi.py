@@ -288,8 +288,8 @@ def build_adaptive(
 
     At every size i the reduced first-stage system
     (I - h*gamma*H_i) lambda_1 = h*beta*e_1 is solved and the monitored
-    residual norm |h*gamma*h_{i+1,i}| * |e_i^T lambda_1| compared against
-    resid_tol; a size whose matrix is numerically singular does not pass.
+    residual norm (first_stage_residual_norm) compared against resid_tol;
+    a size whose matrix is numerically singular does not pass.
     Returns the basis at the first passing size, at the breakdown size, or
     at m_max with hit_cap set when no size passed.  One progressive LU
     (linalg.ProgressiveLU) serves every size, and the returned basis
@@ -316,7 +316,8 @@ def build_adaptive(
         if not grown:  # happy breakdown at size i: the residual is zero
             return state.snapshot(i, fac=lu.factorization())
         lam_last = lu.last_entry()
-        if lam_last is not None and abs(h * gamma * state.h[i, i - 1]) * abs(lam_last) <= resid_tol:
+        if lam_last is not None and first_stage_residual_norm(
+                h, gamma, state.h[i, i - 1], lam_last) <= resid_tol:
             return state.snapshot(i, fac=lu.factorization())
     return state.snapshot(m_max, hit_cap=True, fac=lu.factorization())
 
@@ -373,8 +374,10 @@ def extend(basis: KrylovBasis, w: np.ndarray) -> KrylovBasis:
     )
 
 
-def first_stage_residual_norm(h: float, gamma: float, basis: KrylovBasis, lambda1: np.ndarray) -> float:
-    """||r_1|| = |h*gamma*h_{M+1,M}| * |e_M^T lambda_1| with M the core size."""
-    if basis.h_next == 0.0:
-        return 0.0
-    return abs(h * gamma * basis.h_next) * abs(float(lambda1[basis.core_size - 1]))
+def first_stage_residual_norm(h: float, gamma: float, h_next: float, lam_last: float) -> float:
+    """||r_1|| = |h*gamma*h_{M+1,M}| * |e_M^T lambda_1| for a basis of core
+    size M, from h_next = h_{M+1,M} and lam_last = e_M^T lambda_1, where
+    (I - h*gamma*H) lambda_1 = h*beta*e_1.  After a happy breakdown
+    h_next is 0, and so is the norm.  build_adaptive's stopping test and
+    rok_step both use it."""
+    return abs(h * gamma * h_next) * abs(lam_last)

@@ -24,13 +24,7 @@ import numpy as np
 
 from . import arnoldi, linalg, reference, stability
 from .errors import JvpFailureError, NonFiniteError, StepSizeUnderflowError
-from .integrate import (
-    AdaptiveResidual,
-    AdaptiveResidualMatchTol,
-    FixedBasis,
-    IntegratorConfig,
-    integrate,
-)
+from .integrate import AdaptiveResidual, FixedBasis, IntegratorConfig, check_strategy, integrate
 from .problems import get_problem
 from .tableau import Tableau, TableauError, default_tableau, load_tableau
 
@@ -102,23 +96,23 @@ class ConfigError(ValueError):
 
 
 def parse_strategy(label: str):
-    """Parse a strategy label like "M=4", "R=1e-6", "R=tol", "R=tol+ext"."""
+    """Parse a strategy label, M=<int> or R=<float>|tol, optionally
+    suffixed +ext, into (strategy, extend).  Spaces around the label and
+    around the value are ignored.  R=tol is AdaptiveResidual(), whose
+    residual tolerance is the controller's rtol.  The strategy must pass
+    integrate.check_strategy; every failure is a ConfigError."""
     label = label.strip()
     extend = label.endswith("+ext")
-    core = label[:-4] if extend else label
+    key, _, value = (label[:-4] if extend else label).partition("=")
+    value = value.strip()
     try:
-        if core.startswith("M="):
-            strat = FixedBasis(int(core[2:]))
-            if strat.m < 1:
-                raise ValueError
-        elif core == "R=tol":
-            strat = AdaptiveResidualMatchTol()
-        elif core.startswith("R="):
-            strat = AdaptiveResidual(float(core[2:]))
-            if not 0.0 < strat.resid_tol < np.inf:
-                raise ValueError
+        if key == "M":
+            strat = FixedBasis(int(value))
+        elif key == "R":
+            strat = AdaptiveResidual(None if value == "tol" else float(value))
         else:
             raise ValueError
+        check_strategy(strat)
     except ValueError:
         raise ConfigError(
             f"cannot parse strategy {label!r} (expected M=<int >= 1>, R=<finite float > 0>, "
@@ -179,11 +173,13 @@ def _tableau_from_config(cp):
         raise ConfigError(f"[integrator] tableau {path}: {exc}") from exc
 
 
-def _integrator_config(cp, rtol=None, atol=None, strategy_label=None) -> IntegratorConfig:
+def _integrator_config(cp, rtol=None, atol=None, strategy_label=None, section="integrator"):
+    """The [integrator] config, with the given values in place of its own;
+    a ConfigError names section."""
     sec = cp["integrator"]
     label = strategy_label if strategy_label is not None else sec["strategy"]
-    strat, extend = parse_strategy(label)
     try:
+        strat, extend = parse_strategy(label)
         cfg = IntegratorConfig(
             rtol=rtol if rtol is not None else sec.getfloat("rtol"),
             atol=atol if atol is not None else sec.getfloat("atol"),
@@ -195,7 +191,7 @@ def _integrator_config(cp, rtol=None, atol=None, strategy_label=None) -> Integra
         )
         cfg.validate()
     except ValueError as exc:
-        raise ConfigError(f"[integrator]: {exc}") from exc
+        raise ConfigError(f"[{section}]: {exc}") from exc
     return cfg
 
 
@@ -210,7 +206,7 @@ def _sweep_cells(cp) -> tuple[list, bool]:
         raise ConfigError(f"[sweep]: {exc}") from exc
     if not (strategies and tolerances):
         raise ConfigError("[sweep]: strategies and tolerances must not be empty")
-    cells = [(s, _integrator_config(cp, rtol=t, atol=t, strategy_label=s))
+    cells = [(s, _integrator_config(cp, rtol=t, atol=t, strategy_label=s, section="sweep"))
              for s in strategies for t in tolerances]
     return cells, timing
 

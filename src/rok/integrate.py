@@ -7,7 +7,7 @@ integrate passes the Rosenbrock-Krylov step, which builds the Krylov
 basis according to the configured strategy, and the full-space reference
 (rok.reference) passes the direct step.  A rejected step leaves y, and so
 f(y) and K(J(y), f(y)), unchanged: the retry keeps f(y) and the basis
-(fixed strategy) or its Arnoldi process (adaptive strategies, which rerun
+(fixed strategy) or its Arnoldi process (adaptive strategy, which reruns
 only the stopping test at the new step size).
 The step-size update is the usual Hairer-style controller
 
@@ -34,22 +34,35 @@ FAC_MAX = 5.0
 
 @dataclass(frozen=True)
 class FixedBasis:
-    """Fixed Krylov dimension (capped at the problem dimension)."""
+    """Fixed Krylov dimension m >= 1, capped at the problem dimension
+    (m_max does not apply)."""
 
     m: int
 
 
 @dataclass(frozen=True)
 class AdaptiveResidual:
-    """Residual-controlled basis size with a fixed residual tolerance."""
+    """Residual-controlled basis size: the smallest basis, up to m_max,
+    whose first-stage residual norm is at most resid_tol (finite and
+    positive).  None, the default, takes the controller's rtol: the CLI's
+    R=tol."""
 
-    resid_tol: float
+    resid_tol: float | None = None
 
 
-@dataclass(frozen=True)
-class AdaptiveResidualMatchTol:
-    """Residual-controlled basis size with the residual tolerance matched
-    to the step controller's relative tolerance."""
+def check_strategy(strategy) -> None:
+    """Raise TypeError for an unknown basis strategy, and ValueError for a
+    FixedBasis with m < 1 or a resid_tol that is neither None nor finite
+    and positive."""
+    if isinstance(strategy, FixedBasis):
+        if strategy.m < 1:
+            raise ValueError(f"basis size must be at least 1, got {strategy.m}")
+    elif isinstance(strategy, AdaptiveResidual):
+        tol = strategy.resid_tol
+        if tol is not None and not 0.0 < tol < math.inf:
+            raise ValueError(f"residual tolerance must be finite and positive, got {tol}")
+    else:
+        raise TypeError(f"unknown basis strategy {strategy!r}")
 
 
 @dataclass
@@ -63,12 +76,15 @@ class IntegratorConfig:
     m_max: int = 48
 
     def validate(self) -> None:
+        """Raise ValueError for a value out of range, and TypeError for an
+        unknown basis strategy (check_strategy)."""
         if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
             raise ValueError("tolerances must be finite and positive")
         if not (0.0 < self.h_init <= self.h_max):
             raise ValueError("need 0 < h_init <= h_max")
         if self.m_max < 1:
             raise ValueError("m_max must be at least 1")
+        check_strategy(self.basis_strategy)
 
 
 @dataclass
@@ -99,7 +115,8 @@ def _error_norm(y_new, y_embedded, rtol, atol):
 
 
 def _build_basis(problem, y, f, h, tableau, config, previous=None):
-    """The basis for a step of size h from y, where f = f(y).
+    """The basis for a step of size h from y, where f = f(y), for the
+    checked strategy of config; AdaptiveResidual() tests against rtol.
 
     previous is the basis of the rejected last attempt from this y: a fixed
     basis is returned as it is, and an adaptive one reruns only its
@@ -110,12 +127,7 @@ def _build_basis(problem, y, f, h, tableau, config, previous=None):
         if previous is not None:
             return previous
         return arnoldi.build_fixed(problem, y, f, strategy.m)
-    if isinstance(strategy, AdaptiveResidual):
-        resid_tol = strategy.resid_tol
-    elif isinstance(strategy, AdaptiveResidualMatchTol):
-        resid_tol = config.rtol
-    else:
-        raise TypeError(f"unknown basis strategy {strategy!r}")
+    resid_tol = config.rtol if strategy.resid_tol is None else strategy.resid_tol
     return arnoldi.build_adaptive(
         problem, y, f, h, tableau.gamma, resid_tol, config.m_max, previous=previous
     )
@@ -211,8 +223,9 @@ def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
               config: IntegratorConfig) -> Solution:
     """Integrate the autonomous system from t0 to tf.
 
-    A state at rest (f(y) = 0) ends the run.  Raises
-    StepSizeUnderflowError when the controller cannot find an acceptable
+    A state at rest (f(y) = 0) ends the run.  config is checked before
+    the first f evaluation (IntegratorConfig.validate, check_strategy).
+    Raises StepSizeUnderflowError when the controller cannot find an acceptable
     step above the time resolution of control (the stability-bound
     failure mode of too small a fixed basis on stiff problems), and
     NonFiniteError when f is not finite at the start of a step.

@@ -178,7 +178,8 @@ def rok_step(
         f_stages.append(f_i)
         psi_stages.append(psi)
         if i == 0:
-            stats.first_stage_residual = arnoldi.first_stage_residual_norm(h, tab.gamma, basis, lam)
+            stats.first_stage_residual = arnoldi.first_stage_residual_norm(
+                h, tab.gamma, basis.h_next, lam[basis.core_size - 1])
             return v @ lam
         return v @ (lam - h * psi) + h * f_i
 

@@ -15,7 +15,7 @@ import scipy.linalg
 
 from rok import arnoldi, cli, linalg, stability, step
 from rok.integrate import (
-    AdaptiveResidualMatchTol,
+    AdaptiveResidual,
     FixedBasis,
     IntegratorConfig,
     integrate,
@@ -211,7 +211,7 @@ def test_criterion_8_stiff_regime_trend():
     large = run(FixedBasis(16), False, 1e-4)
     assert large.stats.accepted < small.stats.accepted
     for tol in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        sol = run(AdaptiveResidualMatchTol(), True, tol)
+        sol = run(AdaptiveResidual(), True, tol)
         assert sol.t == 0.2  # converged to the final time
     assert time.perf_counter() - start < 600.0
     _report(8, f"stiff trend: accepted {large.stats.accepted} (M=16) "

@@ -311,7 +311,7 @@ def test_first_stage_residual_norm_zero_after_breakdown():
     f = np.array([1.0, 0.0, 0.0])
     basis = arnoldi.build_fixed(prob, prob.y0, f, 3)
     assert basis.h_next == 0.0
-    assert arnoldi.first_stage_residual_norm(0.1, 0.5, basis, np.zeros(basis.size)) == 0.0
+    assert arnoldi.first_stage_residual_norm(0.1, 0.5, basis.h_next, 1.0) == 0.0
 
 
 def test_selective_reorthogonalization_keeps_tiny_loss():

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from rok import cli
-from rok.integrate import (AdaptiveResidual, AdaptiveResidualMatchTol, FixedBasis,
-                           IntegratorConfig, integrate)
+from rok.integrate import AdaptiveResidual, FixedBasis, IntegratorConfig, integrate
 from rok.problems import (AllenCahnSpec, OdeProblem, get_problem, make_allen_cahn,
                           register_problem)
 from rok.reference import read_reference, write_reference
@@ -77,8 +76,12 @@ def test_defaults_prints_parseable_config(capsys):
         ("M=4", FixedBasis(4), False),
         ("M=16+ext", FixedBasis(16), True),
         ("R=1e-6", AdaptiveResidual(1e-6), False),
-        ("R=tol", AdaptiveResidualMatchTol(), False),
-        ("R=tol+ext", AdaptiveResidualMatchTol(), True),
+        ("R=tol", AdaptiveResidual(), False),
+        ("R=tol+ext", AdaptiveResidual(), True),
+        ("R=tol +ext", AdaptiveResidual(), True),  # spaces around the value are ignored
+        ("R= tol", AdaptiveResidual(), False),
+        ("M= 4", FixedBasis(4), False),
+        ("R= 1e-6 +ext", AdaptiveResidual(1e-6), True),
     ],
 )
 def test_parse_strategy(label, expected, ext):
@@ -109,6 +112,25 @@ def test_bad_integrator_value_is_a_config_error(tmp_path, capsys, key, value):
         cp.write(fh)
     assert cli.main(["--config", str(path), "run"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep, integrator, named", [
+    ({"tolerances": "-1e-3"}, {}, "[sweep]"),
+    ({"tolerances": "1e-3, inf"}, {}, "[sweep]"),
+    ({"strategies": "M=1, R=0"}, {}, "[sweep]"),
+    # [integrator] is checked first, so its error keeps its own name
+    ({"tolerances": "-1e-3"}, {"h_init": "0"}, "[integrator]"),
+])
+def test_bad_sweep_cell_names_its_section(tmp_path, capsys, sweep, integrator, named):
+    cp = configparser.ConfigParser()
+    cp.read_string(DAHLQUIST_RUN)
+    cp.read_dict({"sweep": sweep, "integrator": integrator})
+    path = tmp_path / "config.ini"
+    with path.open("w") as fh:
+        cp.write(fh)
+    assert cli.main(["--config", str(path), "sweep"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named}:")
 
 
 @pytest.mark.parametrize("command, section, key, value", [

@@ -12,7 +12,6 @@ from rok import arnoldi, linalg
 from rok.errors import NonFiniteError, SingularMatrixError, StepSizeUnderflowError
 from rok.integrate import (
     AdaptiveResidual,
-    AdaptiveResidualMatchTol,
     FixedBasis,
     IntegratorConfig,
     integrate,
@@ -67,7 +66,7 @@ def test_adaptive_strategies_run(tab):
     prob = make_random_nonlinear(30, rng, stiffness=6.0)
     ref_cfg = IntegratorConfig(rtol=1e-10, atol=1e-10, basis_strategy=FixedBasis(30))
     ref = integrate(prob, 0.0, 1.0, prob.y0, tab, ref_cfg).y
-    for strategy in (AdaptiveResidual(1e-8), AdaptiveResidualMatchTol()):
+    for strategy in (AdaptiveResidual(1e-8), AdaptiveResidual()):
         cfg = IntegratorConfig(rtol=1e-6, atol=1e-6, basis_strategy=strategy)
         sol = integrate(prob, 0.0, 1.0, prob.y0, tab, cfg)
         assert np.linalg.norm(sol.y - ref) / np.linalg.norm(ref) <= 1e-4
@@ -182,8 +181,22 @@ def test_config_validation():
 
 def test_unknown_strategy_rejected(tab):
     cfg = IntegratorConfig(basis_strategy=object())
+    prob = make_dahlquist()
     with pytest.raises(TypeError):
-        integrate(make_dahlquist(), 0.0, 1.0, np.array([1.0]), tab, cfg)
+        integrate(prob, 0.0, 1.0, np.array([1.0]), tab, cfg)
+    assert prob.n_rhs == 0  # IntegratorConfig.validate checks the strategy before any f
+
+
+@pytest.mark.parametrize("strategy", [AdaptiveResidual(-1.0), AdaptiveResidual(math.nan),
+                                      AdaptiveResidual(0.0), AdaptiveResidual(math.inf),
+                                      FixedBasis(0)])
+def test_out_of_range_strategy_rejected_before_any_f(tab, strategy):
+    # Unchecked, a resid_tol of -1, nan or 0 ran every step at the cap.
+    cfg = IntegratorConfig(basis_strategy=strategy)
+    prob = make_dahlquist()
+    with pytest.raises(ValueError):
+        integrate(prob, 0.0, 1.0, np.array([1.0]), tab, cfg)
+    assert prob.n_rhs == 0
 
 
 def test_integrate_fixed_full_space_convergence(tab):
@@ -232,7 +245,7 @@ def test_rhs_and_jvp_counting(tab):
 def test_non_finite_rhs_names_the_rhs_not_the_jvp(tab, run):
     prob = OdeProblem(dim=2, rhs=lambda y: np.full(2, np.nan), linearize=lambda y: lambda v: -v,
                       name="nan-rhs", y0=np.ones(2), t_span=(0.5, 1.0))
-    strategy = {"fixed-basis": FixedBasis(2), "adaptive": AdaptiveResidualMatchTol()}.get(run)
+    strategy = {"fixed-basis": FixedBasis(2), "adaptive": AdaptiveResidual()}.get(run)
     with pytest.raises(NonFiniteError, match=r"right-hand side .* at t=0\.5"):
         if strategy is None:
             integrate_fixed(prob, 0.5, 1.0, prob.y0, tab, 4)
@@ -297,8 +310,8 @@ def test_benchmark_hook_points_see_every_step(tab, monkeypatch):
         counting(linalg, name)
     prob = make_random_nonlinear(30, np.random.default_rng(50), stiffness=6.0)
     counting(prob, "jv")  # the instance's bound method, as spans.py wraps it
-    for strategy, extend in [(AdaptiveResidualMatchTol(), False),  # R=tol
-                             (AdaptiveResidualMatchTol(), True),  # R=tol+ext
+    for strategy, extend in [(AdaptiveResidual(), False),  # R=tol
+                             (AdaptiveResidual(), True),  # R=tol+ext
                              (FixedBasis(4), False)]:  # M=4
         calls.clear()
         cfg = IntegratorConfig(rtol=1e-6, atol=1e-6, basis_strategy=strategy,
@@ -335,7 +348,7 @@ def test_extension_adds_no_row_store_to_a_run(tab):
     prob = make_allen_cahn(AllenCahnSpec(64, 64, alpha=1.0))
     peaks = []
     for extend in (False, True):
-        cfg = IntegratorConfig(rtol=1e-4, atol=1e-4, basis_strategy=AdaptiveResidualMatchTol(),
+        cfg = IntegratorConfig(rtol=1e-4, atol=1e-4, basis_strategy=AdaptiveResidual(),
                                extend_with_stage_rhs=extend, h_init=1e-4)
         tracemalloc.start()
         try:
