@@ -222,7 +222,7 @@ class _ArnoldiState:
         q = self.rows.q
         np.divide(self.z, self.znorm, out=q[i])
         self.rows.used = i + 1
-        zeta = self.problem.jv(self.y, q[i], self.lin)
+        zeta = self.problem.jv(self.lin, q[i])
         zeta, coeffs, hnorm = _orthogonalize(zeta, q[: i + 1], max(0, i - 1), overwrite_z=True)
         self.h[: i + 1, i] = coeffs
         self.h[i + 1, i] = hnorm
@@ -350,8 +350,7 @@ def extend(basis: KrylovBasis, w: np.ndarray) -> KrylovBasis:
     if remnorm <= DROP_REL_TOL * wnorm:
         return basis
     vbar = rem / remnorm
-    state = basis.state
-    jvbar = state.problem.jv(state.y, vbar, state.lin)
+    jvbar = basis.state.problem.jv(basis.state.lin, vbar)
     rows = basis.rows
     if rows.used != m or rows.q.shape[0] == m:
         rows = _Rows(m + EXTEND_SPARE_ROWS, basis.dim)

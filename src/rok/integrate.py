@@ -2,13 +2,15 @@
 
 control is the standard accept/reject loop with an embedded error
 estimate: it takes one step, and the weighted RMS of
-(y_new - y_embedded) decides acceptance.  The step method is a callable;
-integrate passes the Rosenbrock-Krylov step, which builds the Krylov
-basis according to the configured strategy, and the full-space reference
-(rok.reference) passes the direct step.  A rejected step leaves y, and so
-f(y) and K(J(y), f(y)), unchanged: the retry keeps f(y) and the basis
-(fixed strategy) or its Arnoldi process (adaptive strategy, which reruns
-only the stopping test at the new step size).
+(y_new - y_embedded) decides acceptance.  The step method is a callable
+step(y, f0, h); integrate passes the Rosenbrock-Krylov step, which builds
+the Krylov basis according to the configured strategy, and the
+full-space reference (rok.reference) passes the direct step.  A rejected
+step leaves y, and so f(y) and K(J(y), f(y)), unchanged: control passes
+the retry the same y object and f0, and the Krylov step, seeing its
+basis's state is that y, keeps the basis (fixed strategy) or its Arnoldi
+process (adaptive strategy, which reruns only the stopping test at the
+new step size).
 The step-size update is the usual Hairer-style controller
 
     h_next = h * min(FAC_MAX, max(FAC_MIN, SAFETY * err**(-1/(min(p, p_hat)+1)))).
@@ -17,6 +19,7 @@ The step-size update is the usual Hairer-style controller
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +37,8 @@ FAC_MAX = 5.0
 
 @dataclass(frozen=True)
 class FixedBasis:
-    """Fixed Krylov dimension m >= 1, capped at the problem dimension
-    (m_max does not apply)."""
+    """Fixed Krylov dimension m, an integer >= 1, capped at the problem
+    dimension (m_max does not apply)."""
 
     m: int
 
@@ -50,13 +53,19 @@ class AdaptiveResidual:
     resid_tol: float | None = None
 
 
+def _check_size(name: str, m) -> None:
+    """Raise ValueError unless the basis size m is an integer >= 1 (a
+    numpy integer is one)."""
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {m!r}")
+
+
 def check_strategy(strategy) -> None:
     """Raise TypeError for an unknown basis strategy, and ValueError for a
-    FixedBasis with m < 1 or a resid_tol that is neither None nor finite
-    and positive."""
+    FixedBasis whose m is not an integer >= 1 or a resid_tol that is
+    neither None nor finite and positive."""
     if isinstance(strategy, FixedBasis):
-        if strategy.m < 1:
-            raise ValueError(f"basis size must be at least 1, got {strategy.m}")
+        _check_size("basis size", strategy.m)
     elif isinstance(strategy, AdaptiveResidual):
         tol = strategy.resid_tol
         if tol is not None and not 0.0 < tol < math.inf:
@@ -82,8 +91,7 @@ class IntegratorConfig:
             raise ValueError("tolerances must be finite and positive")
         if not (0.0 < self.h_init <= self.h_max):
             raise ValueError("need 0 < h_init <= h_max")
-        if self.m_max < 1:
-            raise ValueError("m_max must be at least 1")
+        _check_size("m_max", self.m_max)
         check_strategy(self.basis_strategy)
 
 
@@ -145,10 +153,12 @@ def control(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
             config: IntegratorConfig, step) -> Solution:
     """Accept/reject loop from t0 to tf around one step method.
 
-    step(y, f0, h, retry) takes a step of size h from y, where f0 = f(y),
-    and returns a StepResult; retry is True when the last attempt from this
-    y was rejected.  f(y) is evaluated once per state; a state at rest
-    (f(y) = 0) stays there, so it ends the run at tf as one accepted step.
+    step(y, f0, h) takes a step of size h from y, where f0 = f(y), and
+    returns a StepResult.  Every attempt from one state gets the same y
+    object and f0, and an accepted step's y_new is the next state, so a
+    step method may keep work for a retry by the identity of y.  f(y) is
+    evaluated once per state; a state at rest (f(y) = 0) stays there, so
+    it ends the run at tf as one accepted step.
     A step raising NonFiniteError or SingularMatrixError counts as a
     rejection that halves h.  The loop's time resolution is
     1e-14 * max(1, |tf|): it stops within that of tf, and raises
@@ -179,8 +189,7 @@ def control(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
             h = tf - t
             clipped = True
 
-        retry = f0 is not None
-        if not retry:
+        if f0 is None:
             f0 = _start_vector(problem, y, t)
             if f0 is None:
                 t = tf
@@ -188,7 +197,7 @@ def control(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
                 break
 
         try:
-            res = step(y, f0, h, retry)
+            res = step(y, f0, h)
             err = _error_norm(res.y_new, res.y_embedded, config.rtol, config.atol)
         except (NonFiniteError, SingularMatrixError):
             err = math.inf
@@ -229,12 +238,14 @@ def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
     step above the time resolution of control (the stability-bound
     failure mode of too small a fixed basis on stiff problems), and
     NonFiniteError when f is not finite at the start of a step.
+    The step keeps its basis for every attempt from the state it was
+    built at (basis.state.y is y), as build_adaptive's previous requires.
     """
     basis = None  # kept across rejections: K(J(y), f(y)) does not depend on h
 
-    def krylov_step(y, f0, h, retry):
+    def krylov_step(y, f0, h):
         nonlocal basis
-        if not retry:
+        if basis is not None and basis.state.y is not y:
             basis = None  # free the last state's basis before allocating the next
         basis = _build_basis(problem, y, f0, h, tableau, config, previous=basis)
         return rok_step(problem, y, h, tableau, basis, extend=config.extend_with_stage_rhs)

@@ -31,7 +31,8 @@ class OdeProblem:
 
     rhs(y) returns dy/dt; linearize(y) returns the operator v -> J(y) @ v.
     Its result must not be an array the operator keeps: the integrator
-    overwrites it.
+    overwrites it.  jv(lin, v) applies such an operator, lin =
+    linearize(y), kept by the caller for every product at y.
     jacobian, optional, returns J(y) as a dense array or a scipy sparse
     matrix; diagnostics read it dense (jacobian(y)) and the full-space
     reference integrator as CSC (sparse_jacobian(y)).  The f/jv wrappers
@@ -60,13 +61,10 @@ class OdeProblem:
         except Exception as exc:
             raise JvpFailureError(f"linearize callback failed: {exc}") from exc
 
-    def jv(self, y, v, lin=None):
-        """J(y) v, counted in n_jvp, as an array the caller may overwrite.
-        lin, when given, is linearize(y) kept from an earlier call, and y
-        is not read."""
+    def jv(self, lin, v):
+        """J(y) v for lin = linearize(y), counted in n_jvp, as an array the
+        caller may overwrite."""
         self.n_jvp += 1
-        if lin is None:
-            lin = self.linearize(y)
         try:
             out = np.asarray(lin(v), dtype=float)
         except Exception as exc:

@@ -70,7 +70,7 @@ def full_space_integrate(problem, t0: float, tf: float, y0: np.ndarray, tab: Tab
     """Adaptive classical Rosenbrock integration with exact-Jacobian stages."""
     config = IntegratorConfig(rtol=rtol, atol=atol, h_init=h_init)
 
-    def step(y, f0, h, retry):
+    def step(y, f0, h):
         return direct_step(problem, y, f0, h, tab)
 
     return control(problem, t0, tf, y0, tab, config, step).y

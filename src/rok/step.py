@@ -81,14 +81,6 @@ class StepResult:
     internals: StepInternals | None = None
 
 
-def _padded(vec: np.ndarray, size: int) -> np.ndarray:
-    if vec.shape[0] == size:
-        return vec
-    out = np.zeros(size)
-    out[: vec.shape[0]] = vec
-    return out
-
-
 def run_stages(problem, y: np.ndarray, tab: Tableau, f1: np.ndarray, solve_stage):
     """The Rosenbrock stage recursion shared by every step.
 
@@ -125,10 +117,12 @@ def rok_step(
 ) -> StepResult:
     """Advance one step of size h from y using a prebuilt Krylov basis.
 
-    The basis must have been built from f(y); stage 1 reuses its start
-    vector instead of re-evaluating the RHS.  The reduced system is
-    factored once, unless the basis carries the factor at h*gamma that
-    build_adaptive computed.
+    The basis must be one build_fixed or build_adaptive returned for f(y),
+    with no appended vectors; stage 1 reuses its start vector instead of
+    re-evaluating the RHS.  The reduced system is factored once, unless
+    the basis carries the factor at h*gamma that build_adaptive computed.
+    The step's stats are read from the final basis (its size, appended
+    vectors and hit-cap flag) and from lambda_1 (the first-stage residual).
     Raises SingularMatrixError if the reduced system cannot be factored
     and NonFiniteError if a stage RHS produces NaN/Inf (the controller
     treats that as "step too large").  The result's internals hold the
@@ -136,17 +130,16 @@ def rok_step(
     """
     tab = tableau
     gamma_full = tab.gamma_full
-    stats = StepStats(hit_cap=basis.hit_cap)
-
     fac = basis.fac
     if fac is None or fac.hg != h * tab.gamma or fac.size != basis.size:
         fac = linalg.lu_factor(basis.h, h * tab.gamma)
+    refactorized = False
     lambdas: list[np.ndarray] = []
     f_stages: list[np.ndarray] = []
     psi_stages: list[np.ndarray] = []
 
     def solve_stage(i, f_i, ks):
-        nonlocal basis, fac
+        nonlocal basis, fac, refactorized
         if extend and tab.evaluates_f[i]:
             grown = arnoldi.extend(basis, f_i)
             if grown.size > basis.size:
@@ -156,9 +149,8 @@ def rok_step(
                     )
                 except SingularMatrixError:
                     fac = linalg.lu_factor(grown.h, h * tab.gamma)
-                    stats.refactorized = True
+                    refactorized = True
                 basis = grown
-                stats.extensions += 1
 
         m = basis.size
         v = basis.v
@@ -171,21 +163,22 @@ def rok_step(
             psi = v.T @ f_i
         acc = np.zeros(m)
         for j in range(i):
-            acc += gamma_full[i, j] * _padded(lambdas[j], m)
+            acc[: len(lambdas[j])] += gamma_full[i, j] * lambdas[j]
         lam = linalg.lu_solve(fac, h * psi + h * (basis.h @ acc))
 
         lambdas.append(lam)
         f_stages.append(f_i)
         psi_stages.append(psi)
         if i == 0:
-            stats.first_stage_residual = arnoldi.first_stage_residual_norm(
-                h, tab.gamma, basis.h_next, lam[basis.core_size - 1])
             return v @ lam
         return v @ (lam - h * psi) + h * f_i
 
     y_new, y_embedded, ks = run_stages(problem, y, tab, basis.start_vector, solve_stage)
 
-    stats.basis_total = basis.size
+    r1 = arnoldi.first_stage_residual_norm(h, tab.gamma, basis.h_next,
+                                           lambdas[0][basis.core_size - 1])
+    stats = StepStats(basis_total=basis.size, extensions=basis.ext_count, first_stage_residual=r1,
+                      refactorized=refactorized, hit_cap=basis.hit_cap)
     internals = StepInternals(y, h, tab, basis, lambdas, f_stages, psi_stages, ks)
     return StepResult(y_new=y_new, y_embedded=y_embedded, stats=stats, internals=internals)
 
@@ -226,8 +219,9 @@ def stage_residual_formula(problem, internals: StepInternals, i: int) -> np.ndar
               - h (I - V_i V_i^T) J V_i[:, M:] Lambda[M:].
 
     Without extension the last term is empty; with it, F_j is in the span
-    of V_j and the first term is roundoff.  Both Jv products use the
-    linearization of the basis's Arnoldi process (basis.state.lin).
+    of V_j and the first term is roundoff.  J V_i[:, M:] are the products
+    the basis keeps (basis.ext_jv), so the first term is the one Jv, with
+    the linearization of the basis's Arnoldi process (basis.state.lin).
     """
     h = internals.h
     basis = internals.basis
@@ -240,14 +234,13 @@ def stage_residual_formula(problem, internals: StepInternals, i: int) -> np.ndar
     out_of_span = np.zeros(basis.dim)
     for j in range(i + 1):
         psi = internals.psi_stages[j]
-        lam_sum += gamma_full[i, j] * _padded(internals.lambdas[j], dim_i)
+        lam_sum[: len(psi)] += gamma_full[i, j] * internals.lambdas[j]
         out_of_span += gamma_full[i, j] * (internals.f_stages[j] - basis.v[:, : len(psi)] @ psi)
 
-    lin = basis.state.lin
-    r = -h * h * problem.jv(internals.y, out_of_span, lin)
+    r = -h * h * problem.jv(basis.state.lin, out_of_span)
     if basis.h_next != 0.0:
         r -= h * basis.h_next * basis.v_next * lam_sum[m_core - 1]
     if dim_i > m_core:
-        z = problem.jv(internals.y, v_i[:, m_core:] @ lam_sum[m_core:], lin)
+        z = sum(lam * jv_k for lam, jv_k in zip(lam_sum[m_core:], basis.ext_jv))
         r -= h * (z - v_i @ (v_i.T @ z))
     return r

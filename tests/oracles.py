@@ -3,8 +3,10 @@
 This module imports only numpy, so no oracle shares code with what it
 checks.  Problems, step internals and tableaus come in as arguments and
 are read only through their public attributes: a problem's f, linearize
-and jv, a step's recorded stages, and a tableau's raw coefficients
-(alpha, gamma_lower, gamma, b).  The block matrices are assembled here
+and jv (as jv(linearize(y), v)), a step's recorded stages, and a
+tableau's raw coefficients (alpha, gamma_lower, gamma, b).  The
+direct stage residual takes its own linearization of the step's state,
+not the basis's.  The block matrices are assembled here
 with np.kron, the Jacobian of the dense Rosenbrock step column by column
 from jv, and everything is dense, for small problems only.
 """
@@ -21,7 +23,7 @@ def direct_stage_residual(problem, internals, i):
     h = internals.h
     gamma_full = tab.gamma_lower + tab.gamma * np.eye(tab.s)
     ksum = sum(gamma_full[i, j] * internals.k_stages[j] for j in range(i + 1))
-    jk = problem.jv(internals.y, ksum)
+    jk = problem.jv(problem.linearize(internals.y), ksum)
     return internals.k_stages[i] - h * internals.f_stages[i] - h * jk
 
 
@@ -134,7 +136,7 @@ def dense_rosenbrock_step(problem, y, h, tab):
     lhs_t = np.empty((n, n))  # row j is J e_j, until it becomes (I - h gamma J)^T
     for j in range(n):
         unit[j] = 1.0
-        lhs_t[j] = problem.jv(y, unit, lin)
+        lhs_t[j] = problem.jv(lin, unit)
         unit[j] = 0.0
     lhs_t *= -h * tab.gamma
     lhs_t[np.diag_indices(n)] += 1.0
@@ -143,9 +145,9 @@ def dense_rosenbrock_step(problem, y, h, tab):
     for i in range(tab.s):
         stage_y = y + sum((tab.alpha[i, j] * ks[j] for j in range(i)), np.zeros(n))
         coupling = sum((tab.gamma_lower[i, j] * ks[j] for j in range(i)), np.zeros(n))
-        rhs = h * problem.f(stage_y) + h * problem.jv(y, coupling, lin)
+        rhs = h * problem.f(stage_y) + h * problem.jv(lin, coupling)
         k = solve(rhs)
-        if np.linalg.norm(k - h * tab.gamma * problem.jv(y, k, lin) - rhs) > 1e-10 * np.linalg.norm(rhs):
+        if np.linalg.norm(k - h * tab.gamma * problem.jv(lin, k) - rhs) > 1e-10 * np.linalg.norm(rhs):
             raise ValueError(f"stage {i + 1} does not solve its system: is J symmetric?")
         ks.append(k)
     return y + sum((tab.b[i] * ks[i] for i in range(tab.s)), np.zeros(n))

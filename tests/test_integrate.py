@@ -14,6 +14,7 @@ from rok.integrate import (
     AdaptiveResidual,
     FixedBasis,
     IntegratorConfig,
+    control,
     integrate,
     integrate_fixed,
 )
@@ -23,6 +24,7 @@ from rok.problems import (
     make_allen_cahn,
     make_dahlquist,
     make_linear,
+    make_random_linear,
     make_smooth_nonlinear,
 )
 from rok.reference import full_space_integrate, rk4_integrate
@@ -199,6 +201,24 @@ def test_out_of_range_strategy_rejected_before_any_f(tab, strategy):
     assert prob.n_rhs == 0
 
 
+@pytest.mark.parametrize("make", [make_dahlquist, lambda: make_random_linear(8, seed=0)],
+                         ids=["dahlquist", "linear-random-8"])
+@pytest.mark.parametrize("bad, good", [
+    (dict(basis_strategy=FixedBasis(2.5)), dict(basis_strategy=FixedBasis(np.int64(2)))),
+    (dict(basis_strategy=AdaptiveResidual(), m_max=2.5),
+     dict(basis_strategy=AdaptiveResidual(), m_max=np.int64(2))),
+], ids=["FixedBasis", "m_max"])
+def test_non_integer_basis_size_rejected_before_any_f(tab, make, bad, good):
+    # Unchecked, a size of 2.5 failed in the row store after the first f
+    # where the problem is larger than the size, and ran where the size is
+    # capped to the problem's.  A numpy integer is a size.
+    prob = make()
+    with pytest.raises(ValueError, match="integer"):
+        integrate(prob, 0.0, 0.1, prob.y0, tab, IntegratorConfig(**bad))
+    assert prob.n_rhs == 0
+    assert integrate(prob, 0.0, 0.1, prob.y0, tab, IntegratorConfig(**good)).t == 0.1
+
+
 def test_integrate_fixed_full_space_convergence(tab):
     prob = make_smooth_nonlinear()
     t0, tf = prob.t_span
@@ -358,3 +378,38 @@ def test_extension_adds_no_row_store_to_a_run(tab):
             tracemalloc.stop()
         assert stats.rejected == 0
     assert peaks[1] <= 1.15 * peaks[0]
+
+
+def test_control_passes_every_attempt_its_state_and_f(tab):
+    # control calls step(y, f0, h).  Every attempt from one state gets the
+    # same y object and the same f0 = f(y), and an accepted step's y_new is
+    # the next state: the Krylov step keeps its basis by this identity.
+    prob = make_dahlquist()
+    attempts = []  # (y, f0, result) per attempt
+    states = []  # the y of each state, in order
+
+    def step(y, f0, h):
+        if not states or states[-1] is not y:
+            states.append(y)
+        tries = sum(a[0] is y for a in attempts)
+        forced = len(states) <= 3 and tries < 2  # two rejections from each of the first states
+        res = None if forced else direct_step(prob, y, f0, h, tab)
+        attempts.append((y, f0, res))
+        if forced:
+            raise NonFiniteError("forced rejection")
+        return res
+
+    cfg = IntegratorConfig(rtol=1e-6, atol=1e-6, h_init=1e-3)
+    sol = control(prob, 0.0, 0.01, prob.y0, tab, cfg, step)
+    assert len(states) == sol.stats.accepted > 3 and sol.stats.rejected >= 6
+    assert len(attempts) == sol.stats.accepted + sol.stats.rejected
+    assert states[0] is not prob.y0 and np.array_equal(states[0], prob.y0)
+    for k, y in enumerate(states):
+        mine = [i for i, a in enumerate(attempts) if a[0] is y]
+        assert len(mine) >= (3 if k < 3 else 1)
+        assert mine == list(range(mine[0], mine[-1] + 1))  # one run of attempts per state
+        f0 = attempts[mine[0]][1]
+        assert all(attempts[i][1] is f0 for i in mine)
+        assert np.array_equal(f0, prob.f(y))
+        following = states[k + 1] if k + 1 < len(states) else sol.y
+        assert following is attempts[mine[-1]][2].y_new

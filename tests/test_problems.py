@@ -37,7 +37,7 @@ def test_jvp_matches_finite_differences(factory):
     for _ in range(3):
         v = rng.standard_normal(prob.dim)
         fd = finite_difference_jvp(prob, y, v)
-        assert np.allclose(prob.jv(y, v), fd, rtol=1e-6, atol=1e-6)
+        assert np.allclose(prob.jv(prob.linearize(y), v), fd, rtol=1e-6, atol=1e-6)
 
 
 def stencil_laplacian(u, nx, ny):
@@ -64,7 +64,8 @@ def test_allen_cahn_matches_stencil_oracle():
         return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
     assert close(prob.f(u), alpha * stencil_laplacian(u, nx, ny) + gam * (u - u**3))
-    assert close(prob.jv(u, v), alpha * stencil_laplacian(v, nx, ny) + gam * (1.0 - 3.0 * u**2) * v)
+    assert close(prob.jv(prob.linearize(u), v),
+                 alpha * stencil_laplacian(v, nx, ny) + gam * (1.0 - 3.0 * u**2) * v)
     lap = np.column_stack([stencil_laplacian(e, nx, ny) for e in np.eye(prob.dim)])
     assert close(prob.jacobian(u), alpha * lap + np.diag(gam * (1.0 - 3.0 * u**2)))
 
@@ -75,7 +76,7 @@ def test_dense_jacobian_matches_jvp_columns():
     jac = prob.jacobian(y)
     for j in range(prob.dim):
         e = np.eye(prob.dim)[:, j]
-        assert np.allclose(jac[:, j], prob.jv(y, e), atol=1e-12)
+        assert np.allclose(jac[:, j], prob.jv(prob.linearize(y), e), atol=1e-12)
 
 
 def test_sparse_jacobian_matches_dense():
@@ -96,7 +97,7 @@ def test_allen_cahn_dia_products_equal_csr_products(n):
     for _ in range(5):
         u, v = rng.standard_normal((2, n * n))
         assert np.array_equal(prob.f(u), lap @ u + gam * (u - u**3))
-        assert np.array_equal(prob.jv(u, v), lap @ v + gam * (1.0 - 3.0 * u**2) * v)
+        assert np.array_equal(prob.jv(prob.linearize(u), v), lap @ v + gam * (1.0 - 3.0 * u**2) * v)
     jac = prob.sparse_jacobian(u)
     ref = sp.csc_matrix(lap + sp.diags(gam * (1.0 - 3.0 * u**2)))
     assert jac.nnz == ref.nnz == 5 * n * n - 4 * n
@@ -118,9 +119,9 @@ def test_allen_cahn_products_round_as_the_public_formulas():
     lin = prob.linearize(u)
     prob.reset_counters()
     for v in rng.standard_normal((4, prob.dim)):
-        kept = prob.jv(u, v, lin)
+        kept = prob.jv(lin, v)
         assert np.array_equal(kept, lap @ v + gam * (1.0 - 3.0 * u**2) * v)
-        assert np.array_equal(kept, prob.jv(u, v))
+        assert np.array_equal(kept, prob.jv(prob.linearize(u), v))
     assert prob.n_jvp == 8
 
 
@@ -128,11 +129,11 @@ def test_jv_without_a_kept_linearization_sees_an_in_place_change_of_y():
     prob = make_allen_cahn(AllenCahnSpec(nx=6, ny=5, alpha=1.0))
     u = prob.y0.copy()
     v = np.random.default_rng(37).standard_normal(prob.dim)
-    before = prob.jv(u, v)
+    before = prob.jv(prob.linearize(u), v)
     u += 0.1
-    after = prob.jv(u, v)
+    after = prob.jv(prob.linearize(u), v)
     assert not np.array_equal(after, before)
-    assert np.array_equal(after, prob.jv(u.copy(), v))
+    assert np.array_equal(after, prob.jv(prob.linearize(u.copy()), v))
 
 
 def test_allen_cahn_rejects_a_vector_of_the_wrong_length():
@@ -142,7 +143,7 @@ def test_allen_cahn_rejects_a_vector_of_the_wrong_length():
     with pytest.raises(ValueError):
         prob.f(short)
     with pytest.raises(JvpFailureError):
-        prob.jv(prob.y0, short)
+        prob.jv(prob.linearize(prob.y0), short)
 
 
 def test_allen_cahn_constant_field_has_zero_diffusion():
@@ -206,8 +207,8 @@ def test_random_linear_is_seed_reproducible():
 def test_counters_and_reset():
     prob = make_smooth_nonlinear()
     prob.f(prob.y0)
-    prob.jv(prob.y0, np.ones(2))
-    prob.jv(prob.y0, np.ones(2))
+    prob.jv(prob.linearize(prob.y0), np.ones(2))
+    prob.jv(prob.linearize(prob.y0), np.ones(2))
     assert (prob.n_rhs, prob.n_jvp) == (1, 2)
     prob.reset_counters()
     assert (prob.n_rhs, prob.n_jvp) == (0, 0)
@@ -216,13 +217,13 @@ def test_counters_and_reset():
 def test_jvp_failure_is_wrapped():
     bad = OdeProblem(dim=2, rhs=lambda y: y, linearize=lambda y: lambda v: 1 / 0)
     with pytest.raises(JvpFailureError):
-        bad.jv(np.ones(2), np.ones(2))
+        bad.jv(bad.linearize(np.ones(2)), np.ones(2))
     nonfinite = OdeProblem(dim=2, rhs=lambda y: y,
                            linearize=lambda y: lambda v: np.array([np.nan, 0.0]))
     with pytest.raises(JvpFailureError):
-        nonfinite.jv(np.ones(2), np.ones(2))
+        nonfinite.jv(nonfinite.linearize(np.ones(2)), np.ones(2))
     with pytest.raises(JvpFailureError, match="non-finite"):
-        nonfinite.jv(np.ones(2), np.ones(2), nonfinite.linearize(np.ones(2)))
+        nonfinite.jv(nonfinite.linearize(np.ones(2)), np.ones(2))
 
 
 def test_linearize_failure_is_wrapped():
@@ -233,7 +234,7 @@ def test_linearize_failure_is_wrapped():
     with pytest.raises(JvpFailureError, match="no linearization here"):
         bad.linearize(np.ones(2))
     with pytest.raises(JvpFailureError, match="no linearization here"):
-        bad.jv(np.ones(2), np.ones(2))
+        bad.jv(bad.linearize(np.ones(2)), np.ones(2))
 
 
 def test_missing_jacobian_raises():

@@ -69,7 +69,9 @@ def test_residual_formula_matches_direct(tab):
         res = run_step(prob, y, 0.05, tab, m)
         for i in range(tab.s):
             d = oracles.direct_stage_residual(prob, res.internals, i)
+            jvs = prob.n_jvp
             f = step.stage_residual_formula(prob, res.internals, i)
+            assert prob.n_jvp == jvs + 1
             assert np.linalg.norm(d - f) <= 1e-9 * np.linalg.norm(d) + 1e-13
 
 
@@ -84,7 +86,9 @@ def test_residual_formula_extended_matches_direct(tab):
         assert res.stats.extensions >= 1
         for i in range(tab.s):
             d = oracles.direct_stage_residual(prob, res.internals, i)
+            jvs = prob.n_jvp
             f = step.stage_residual_formula(prob, res.internals, i)
+            assert prob.n_jvp == jvs + 1  # J V_ext comes from basis.ext_jv
             assert np.linalg.norm(d - f) <= 1e-9 * np.linalg.norm(d) + 1e-13
 
 
