@@ -37,9 +37,14 @@ class OdeProblem:
     matrix; diagnostics read it dense (jacobian(y)) and the full-space
     reference integrator as CSC (sparse_jacobian(y)).  The f/jv wrappers
     count evaluations; reset_counters() clears them.
+    symmetric_jacobian declares that J(y) is symmetric at every state y:
+    the Arnoldi process then runs Lanczos with partial
+    reorthogonalization (rok.arnoldi), and raises ValueError naming the
+    declaration when a product shows that J is not symmetric.
     """
 
-    def __init__(self, dim, rhs, linearize, jacobian=None, name="problem", y0=None, t_span=None):
+    def __init__(self, dim, rhs, linearize, jacobian=None, name="problem", y0=None, t_span=None,
+                 symmetric_jacobian=False):
         self.dim = dim
         self._rhs = rhs
         self._linearize = linearize
@@ -47,6 +52,7 @@ class OdeProblem:
         self.name = name
         self.y0 = None if y0 is None else np.asarray(y0, dtype=float)
         self.t_span = t_span
+        self.symmetric_jacobian = bool(symmetric_jacobian)
         self.n_rhs = 0
         self.n_jvp = 0
 
@@ -93,7 +99,8 @@ class OdeProblem:
 
 
 def make_linear(jac: np.ndarray, name: str = "linear") -> OdeProblem:
-    """y' = J y with y0 = all-ones."""
+    """y' = J y with y0 = all-ones, declared symmetric_jacobian exactly
+    when J equals its transpose."""
     jac = np.asarray(jac, dtype=float)
     n = jac.shape[0]
     return OdeProblem(
@@ -104,6 +111,7 @@ def make_linear(jac: np.ndarray, name: str = "linear") -> OdeProblem:
         name=name,
         y0=np.ones(n),
         t_span=(0.0, 1.0),
+        symmetric_jacobian=np.array_equal(jac, jac.T),
     )
 
 
@@ -157,7 +165,8 @@ def make_allen_cahn(spec: AllenCahnSpec) -> OdeProblem:
     added in place; linearize(u) computes the Jv diagonal
     gamma_rc (1 - 3u^2) once per state.  Both round exactly as
     lap @ u + gamma_rc (u - u^3) and lap @ v + gamma_rc (1 - 3u^2) v do.
-    The sparse Jacobian is the same matrix plus that diagonal.  The
+    The sparse Jacobian is the same matrix plus that diagonal; it is
+    symmetric, and the problem declares it so (symmetric_jacobian).  The
     initial field is 0.4 + 0.1(x+y) + 0.1 sin(10x) sin(20y) sampled at
     cell centers.  The name is allen-cahn-<nx>x<ny>-a<alpha>, with
     -g<gamma_rc> unless gamma_rc = 1.
@@ -209,6 +218,7 @@ def make_allen_cahn(spec: AllenCahnSpec) -> OdeProblem:
         name=f"allen-cahn-{nx}x{ny}-a{_param(spec.alpha)}{suffix}",
         y0=u0.reshape(-1),
         t_span=(0.0, 0.2),
+        symmetric_jacobian=True,
     )
 
 

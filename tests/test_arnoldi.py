@@ -5,7 +5,7 @@ import pytest
 
 from rok import arnoldi, linalg, step
 from rok.errors import ZeroStartVectorError
-from rok.problems import AllenCahnSpec, OdeProblem, make_allen_cahn, make_linear
+from rok.problems import AllenCahnSpec, OdeProblem, make_allen_cahn, make_linear, make_random_linear
 from rok.tableau import default_tableau
 
 from conftest import make_random_nonlinear
@@ -411,21 +411,100 @@ def test_kernel_extra_pass_restores_orthogonality_for_nonnormal_jacobian():
     assert np.linalg.norm(q @ rem) <= 1e-14 * np.linalg.norm(rem)
 
 
+def _undeclared(prob):
+    """prob without its symmetry declaration: the kernel then gives every
+    vector the full pass, as for any J."""
+    prob.symmetric_jacobian = False
+    return prob
+
+
+def _relation_residual(prob, y, basis):
+    """||J V - V H - h_next v_next e_M^T|| / ||J V|| of a core basis."""
+    v = basis.v
+    jv = np.column_stack([prob.jv(prob.linearize(y), v[:, k]) for k in range(basis.size)])
+    resid = jv - v @ basis.h
+    resid[:, -1] -= basis.h_next * basis.v_next
+    return np.linalg.norm(resid) / np.linalg.norm(jv)
+
+
 def test_kernel_keeps_allen_cahn_basis_orthonormal_at_128():
-    # Symmetric J at N = 16384 and the benchmark's cap of 48 vectors,
-    # where the kernel runs the local pass and one measuring sweep per
-    # vector, and subtracts only an overlap above OVERLAP_REL_TOL.
-    prob = make_allen_cahn(AllenCahnSpec(128, 128, alpha=1.0))
+    # Symmetric J at N = 16384 and the benchmark's cap of 48 vectors, not
+    # declared symmetric, so the kernel runs the local pass and one
+    # measuring sweep per vector, and subtracts only an overlap above
+    # OVERLAP_REL_TOL.
+    prob = _undeclared(make_allen_cahn(AllenCahnSpec(128, 128, alpha=1.0)))
     y = prob.y0
     m = 48
     basis = arnoldi.build_fixed(prob, y, prob.f(y), m)
     v, h = basis.v, basis.h
+    assert basis.state.full_passes == m
     assert np.max(np.abs(v.T @ v - np.eye(m))) <= 1e-14
     jv = np.column_stack([prob.jv(prob.linearize(y), v[:, k]) for k in range(m)])
     resid = jv - v @ h
     resid[:, -1] -= basis.h_next * basis.v_next
     assert np.linalg.norm(resid) <= 1e-14 * np.linalg.norm(jv)
     assert np.max(np.abs(np.triu(h, 2))) <= 1e-13 * np.max(np.abs(h))
+
+
+@pytest.mark.parametrize("nx,m", [(64, 48), (64, 96), (128, 48), (128, 96)])
+def test_lanczos_keeps_allen_cahn_basis_semi_orthogonal(nx, m):
+    # Allen-Cahn declares its J symmetric: the local pass is the Lanczos
+    # step and the overlap model never asks for a full pass here.  The
+    # overlaps are bounded by the threshold, not by a measured value: the
+    # same 128^2 build reads 2.5e-14 in one process and 6.3e-14 in another.
+    prob = make_allen_cahn(AllenCahnSpec(nx, nx, alpha=1.0))
+    y = prob.y0
+    basis = arnoldi.build_fixed(prob, y, prob.f(y), m)
+    assert basis.size == m and basis.state.full_passes == 0
+    assert np.max(np.abs(basis.v.T @ basis.v - np.eye(m))) <= arnoldi.SEMI_ORTHOGONALITY_TOL
+    assert _relation_residual(prob, y, basis) <= 1e-14
+    assert not np.any(np.triu(basis.h, 2))
+
+
+def _well_separated_diagonal():
+    """Diagonal J: 397 eigenvalues in [-1, 0] and three at -20, -50, -100,
+    which plain Lanczos finds within a few steps and then loses
+    orthogonality towards."""
+    d = np.concatenate([-np.linspace(0.0, 1.0, 397), [-20.0, -50.0, -100.0]])
+    return make_linear(np.diag(d))
+
+
+def test_lanczos_runs_the_full_pass_when_orthogonality_is_lost():
+    prob = _well_separated_diagonal()
+    y = prob.y0
+    f = prob.f(y)
+    m = 40
+    # Plain Lanczos, test-side, loses orthogonality on this J altogether.
+    q = np.zeros((m, prob.dim))
+    q[0] = f / np.linalg.norm(f)
+    z = f
+    for i in range(m - 1):
+        z = prob.jacobian(y) @ q[i]
+        z -= (q[max(0, i - 1): i + 1] @ z) @ q[max(0, i - 1): i + 1]
+        q[i + 1] = z / np.linalg.norm(z)
+    assert np.max(np.abs(q @ q.T - np.eye(m))) > 0.5
+    basis = arnoldi.build_fixed(prob, y, f, m)
+    assert prob.symmetric_jacobian
+    assert 1 <= basis.state.full_passes < m
+    assert np.max(np.abs(basis.v.T @ basis.v - np.eye(m))) <= arnoldi.SEMI_ORTHOGONALITY_TOL
+    assert _relation_residual(prob, y, basis) <= 1e-14
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: make_random_linear(50, seed=3),
+    lambda: make_random_nonlinear(200, np.random.default_rng(33)),
+])
+def test_a_wrong_symmetry_declaration_raises(factory):
+    # For symmetric J the local pass finds q_{i-1}^T J q_i = h[i, i-1]; a
+    # nonsymmetric J declared symmetric misses that by O(||J||), and the
+    # build raises instead of returning a basis that is not orthonormal.
+    prob = factory()
+    prob.symmetric_jacobian = True
+    y = prob.y0
+    with pytest.raises(ValueError, match="symmetric_jacobian"):
+        arnoldi.build_fixed(prob, y, prob.f(y), 10)
+    with pytest.raises(ValueError, match="symmetric_jacobian"):
+        arnoldi.build_adaptive(prob, y, prob.f(y), 0.1, 0.5, 1e-300, 10)
 
 
 def test_kernel_on_one_row_basis_is_one_projection():
@@ -484,17 +563,25 @@ def test_kernel_subtracts_an_overlap_above_rounding():
 def test_kernel_keeps_adaptive_extended_and_nonsymmetric_bases_orthonormal():
     # The measured-overlap test bounds each new vector's overlap with the
     # basis by OVERLAP_REL_TOL; appended vectors (lo = 0) and a nonsymmetric
-    # J go through the same kernel.
-    prob = make_allen_cahn(AllenCahnSpec(64, 64, alpha=1.0))
-    y = prob.y0
-    basis = arnoldi.build_adaptive(prob, y, prob.f(y), 1e-2, default_tableau().gamma, 1e-300, 48)
-    assert basis.size == 48 and basis.hit_cap
-    assert np.max(np.abs(basis.v.T @ basis.v - np.eye(48))) <= 1e-14
-    rng = np.random.default_rng(21)
-    for _ in range(2):
-        basis = arnoldi.extend(basis, prob.f(y + 0.01 * rng.standard_normal(y.size)))
-    assert basis.size == 50
-    assert np.max(np.abs(basis.v.T @ basis.v - np.eye(50))) <= 1e-12
+    # J go through the same kernel.  Allen-Cahn undeclared runs it on every
+    # vector; declared, its Lanczos basis is bounded by the threshold, and
+    # extend still gives each appended vector the full pass.
+    for declared in (False, True):
+        prob = make_allen_cahn(AllenCahnSpec(64, 64, alpha=1.0))
+        if not declared:
+            _undeclared(prob)
+        bound = arnoldi.SEMI_ORTHOGONALITY_TOL if declared else 1e-14
+        y = prob.y0
+        basis = arnoldi.build_adaptive(prob, y, prob.f(y), 1e-2, default_tableau().gamma, 1e-300, 48)
+        assert basis.size == 48 and basis.hit_cap
+        assert np.max(np.abs(basis.v.T @ basis.v - np.eye(48))) <= bound
+        rng = np.random.default_rng(21)
+        for _ in range(2):
+            basis = arnoldi.extend(basis, prob.f(y + 0.01 * rng.standard_normal(y.size)))
+        assert basis.size == 50
+        assert np.max(np.abs(basis.v.T @ basis.v - np.eye(50))) <= max(bound, 1e-12)
+        ext = basis.v[:, 48:]
+        assert np.max(np.abs(basis.v.T @ ext - np.eye(50)[:, 48:])) <= 1e-12
     rng = np.random.default_rng(33)
     prob = make_random_nonlinear(200, rng)
     y = rng.standard_normal(200)
@@ -525,6 +612,8 @@ def _assert_reuse_is_a_fresh_build(prob, kept, h_again):
     assert again.h_next == fresh.h_next
     assert np.array_equal(again.v_next, fresh.v_next)
     assert again.hit_cap == fresh.hit_cap
+    if fresh.state.m >= built:  # the kept process grew as the fresh one did
+        assert again.state.full_passes == fresh.state.full_passes
 
 
 @pytest.mark.parametrize("h_first,h_again", [(1e-2, 5e-3), (5e-3, 1e-2), (1e-1, 5e-2)])
@@ -534,6 +623,19 @@ def test_adaptive_reuse_is_bitwise_a_fresh_build(h_first, h_again):
     prob = make_allen_cahn(AllenCahnSpec(32, 32, alpha=1.0))
     y = prob.y0
     kept = arnoldi.build_adaptive(prob, y, prob.f(y), h_first, default_tableau().gamma, 1e-6, 48)
+    _assert_reuse_is_a_fresh_build(prob, kept, h_again)
+
+
+@pytest.mark.parametrize("h_first,h_again", [(1e-2, 1.0), (1.0, 1e-2)])
+def test_lanczos_reuse_carries_the_overlap_model_on(h_first, h_again):
+    # A kept Lanczos process carries its overlap model on: regrown past a
+    # full pass, as (1e-2, 1.0) is, it is bitwise a fresh build.
+    prob = _well_separated_diagonal()
+    y = prob.y0
+    kept = arnoldi.build_adaptive(prob, y, prob.f(y), h_first, default_tableau().gamma, 1e-6, 48)
+    fresh = arnoldi.build_adaptive(prob, y, prob.f(y), h_again, default_tableau().gamma, 1e-6, 48)
+    assert fresh.state.full_passes > 0 or h_again < h_first
+    assert kept.state.full_passes == 0 or h_first > h_again
     _assert_reuse_is_a_fresh_build(prob, kept, h_again)
 
 

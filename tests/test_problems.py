@@ -12,6 +12,7 @@ from rok.problems import (
     get_problem,
     make_allen_cahn,
     make_dahlquist,
+    make_linear,
     make_random_linear,
     make_smooth_nonlinear,
     register_problem,
@@ -264,3 +265,37 @@ def test_registry_round_trip():
         get_problem("no-such-problem")
     register_problem("custom-test-problem", lambda k=1.0: make_dahlquist(-float(k)))
     assert get_problem("custom-test-problem", k=2.0).dim == 1
+
+
+# Small instances of every registered problem, with parameters that make a
+# non-square grid and non-unit coefficients.
+SMALL_PARAMS = {
+    "allen-cahn": {"nx": 5, "ny": 7, "alpha": 0.3, "gamma_rc": 2.0},
+    "linear-random": {"n": 6},
+    "dahlquist": {"lam": -3.0},
+}
+
+
+def test_declared_symmetric_jacobians_are_symmetric():
+    # symmetric_jacobian is a promise the Lanczos kernel relies on: check it
+    # against the dense Jacobian, at y0 and at a perturbed state.
+    rng = np.random.default_rng(36)
+    declared = set()
+    for name in ("allen-cahn", "dahlquist", "linear-random", "smooth-nonlinear"):
+        prob = get_problem(name, **SMALL_PARAMS.get(name, {}))
+        if not prob.symmetric_jacobian:
+            continue
+        declared.add(name)
+        for y in (prob.y0, prob.y0 + 0.1 * rng.standard_normal(prob.dim)):
+            jac = prob.jacobian(y)
+            assert np.array_equal(jac, jac.T), name
+    assert declared == {"allen-cahn", "dahlquist"}
+
+
+def test_make_linear_declares_exactly_a_symmetric_matrix():
+    rng = np.random.default_rng(37)
+    a = rng.standard_normal((6, 6))
+    assert make_linear(a + a.T).symmetric_jacobian
+    assert not make_linear(a).symmetric_jacobian
+    assert not make_random_linear(6, seed=0).symmetric_jacobian
+    assert not OdeProblem(2, rhs=lambda y: -y, linearize=lambda y: lambda v: -v).symmetric_jacobian
