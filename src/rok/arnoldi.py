@@ -40,8 +40,8 @@ working precision, so the reduced systems the step solves are as
 accurate as with a fully orthogonal basis, and a lower threshold would
 only buy full passes that change nothing the step reads.  The model is
 pessimistic: on Allen-Cahn 128^2 with 48 vectors it reads 1.7e-11
-against a measured largest overlap of 6.3e-14.  Up to 128^2 and 96
-vectors it stays below 2e-10, so no full pass runs there and H is
+against a measured largest overlap of 6.3e-14.  At 64^2 and 128^2 it
+stays below 2e-10 up to 96 vectors, so no full pass runs there and H is
 exactly tridiagonal.  The local pass also checks the
 declaration at no cost: for symmetric J its coefficient q_{i-1}^T J q_i
 equals beta_{i-1} = q_i^T J q_{i-1} to rounding, and a gap above

@@ -267,7 +267,7 @@ def test_registry_round_trip():
     assert get_problem("custom-test-problem", k=2.0).dim == 1
 
 
-# Small instances of every registered problem, with parameters that make a
+# Small instances of the built-in problems, with parameters that make a
 # non-square grid and non-unit coefficients.
 SMALL_PARAMS = {
     "allen-cahn": {"nx": 5, "ny": 7, "alpha": 0.3, "gamma_rc": 2.0},

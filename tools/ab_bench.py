@@ -16,8 +16,9 @@ interquartile range, and "unresolved" otherwise.  It writes every raw
 run, with the summary, to ``<out>/BENCH_<label>_<workload>.json``, so the
 verdict can be recomputed.
 
-Exit status: 0 when every run finished and read ``correct: true``, 1
-otherwise, 2 for a usage error.  Nothing under ``perfbench/`` is written
+Exit status: 0 when every run finished and read ``correct: true``; 1
+otherwise, or when the base revision cannot be unpacked; 2 for an invalid
+option.  Nothing under ``perfbench/`` is written
 except what ``perfbench/run.py`` itself writes.
 """
 
