@@ -49,9 +49,10 @@ SYMMETRY_REL_TOL * ||T|| raises ValueError naming symmetric_jacobian.
 The number of full passes is kept on the process (full_passes).
 
 build_adaptive tests the first-stage residual at every basis size and
-stops at the first size that passes.  It factors I - h*gamma*H_i for each
-leading block H_i by one progressive elimination (linalg.ProgressiveLU),
-and hands the factor of the block it stops at to the step.
+stops at the first size that passes.  The test reads one scalar per size,
+e_i^T lambda_1, which one progressive elimination of I - h*gamma*H_i over
+the leading blocks H_i gives (linalg.ProgressiveLU); the step factors the
+reduced system of the basis it gets itself.
 
 K_M(J(y), f(y)) does not depend on the step size; only the adaptive
 stopping index does.  A basis from build_adaptive therefore keeps its
@@ -150,9 +151,9 @@ class KrylovBasis:
     Arnoldi process (``state``) and with bases extended from this one.
     v_next is a read-only view of the store row after the basis, or a
     vector of its own when the basis holds all of the process's vectors.
-    fac, set by build_adaptive, is the factor of I - fac.hg*h that its
-    stopping test computed (None when that matrix is numerically
-    singular, and on every other basis).
+    A basis carries no factor of its reduced system: the step factors
+    I - h*gamma*h itself, and build_adaptive's stopping test keeps only
+    one scalar per size.
     """
 
     v: np.ndarray
@@ -166,7 +167,6 @@ class KrylovBasis:
     hit_cap: bool = False
     state: _ArnoldiState | None = None
     rows: _Rows | None = None
-    fac: linalg.HessenbergFactorization | None = None
 
     @property
     def size(self) -> int:
@@ -385,8 +385,7 @@ class _ArnoldiState:
             self.advance()
         return not (self.broke_down and self.m <= size)
 
-    def snapshot(self, size: int, hit_cap: bool = False,
-                 fac: linalg.HessenbergFactorization | None = None) -> KrylovBasis:
+    def snapshot(self, size: int, hit_cap: bool = False) -> KrylovBasis:
         if self.broke_down and size >= self.m:
             size = self.m
             h_next, v_next = 0.0, None
@@ -405,7 +404,6 @@ class _ArnoldiState:
             hit_cap=hit_cap,
             state=self,
             rows=self.rows,
-            fac=fac,
         )
 
 
@@ -436,9 +434,8 @@ def build_adaptive(
     residual norm (first_stage_residual_norm) compared against resid_tol;
     a size whose matrix is numerically singular does not pass.
     Returns the basis at the first passing size, at the breakdown size, or
-    at m_max with hit_cap set when no size passed.  One progressive LU
-    (linalg.ProgressiveLU) serves every size, and the returned basis
-    carries its factor in fac.
+    at m_max with hit_cap set when no size passed.  One progressive
+    elimination (linalg.ProgressiveLU) gives e_i^T lambda_1 at every size.
 
     previous, when given, is a basis build_adaptive returned for the same
     problem, y and f with at least this m_max (say, before a rejected
@@ -454,17 +451,17 @@ def build_adaptive(
         state = previous.state
         if state is None or state.problem is not problem or state.y is not y or state.m_max < m_max:
             raise ValueError("previous basis was not built for this problem, state and m_max")
-    lu = linalg.ProgressiveLU(h * gamma, m_max, h * state.beta)
+    lu = linalg.ProgressiveLU(h * gamma, h * state.beta)
     for i in range(1, m_max + 1):
         grown = state.reach(i)
         lu.append(state.h[: i + 1, i - 1])
         if not grown:  # happy breakdown at size i: the residual is zero
-            return state.snapshot(i, fac=lu.factorization())
+            return state.snapshot(i)
         lam_last = lu.last_entry()
         if lam_last is not None and first_stage_residual_norm(
                 h, gamma, state.h[i, i - 1], lam_last) <= resid_tol:
-            return state.snapshot(i, fac=lu.factorization())
-    return state.snapshot(m_max, hit_cap=True, fac=lu.factorization())
+            return state.snapshot(i)
+    return state.snapshot(m_max, hit_cap=True)
 
 
 def extend(basis: KrylovBasis, w: np.ndarray) -> KrylovBasis:
@@ -514,7 +511,6 @@ def extend(basis: KrylovBasis, w: np.ndarray) -> KrylovBasis:
         ext_count=basis.ext_count + 1,
         ext_jv=basis.ext_jv + (jvbar,),
         rows=rows,
-        fac=None,
     )
 
 

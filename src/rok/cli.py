@@ -169,7 +169,7 @@ def _tableau_from_config(cp):
         return default_tableau()
     try:
         return load_tableau(path)
-    except (OSError, TableauError) as exc:
+    except (OSError, UnicodeDecodeError, TableauError) as exc:
         raise ConfigError(f"[integrator] tableau {path}: {exc}") from exc
 
 

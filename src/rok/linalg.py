@@ -4,10 +4,11 @@ The stage systems of the integrator have the form (I - hg*H) x = rhs with H
 a small upper-Hessenberg matrix.  This module provides an LU factorization
 kept in LAPACK getrf's packed form (one array and the pivot indices), solves
 by laswp and two trtrs calls on it, an O(M^2) bordered column-append update
-of the same packed form used when the Krylov basis grows mid-step, the
-progressive elimination that factors each leading block of a growing
-Hessenberg matrix in turn, and a spectral-radius helper for the stability
-diagnostics.
+of the same packed form used when the Krylov basis grows mid-step, and a
+spectral-radius helper for the stability diagnostics.  The Krylov step
+factors its reduced system once per attempt with lu_factor.  The adaptive
+stopping test needs no factor, only one scalar per basis size, which the
+progressive elimination (ProgressiveLU) gives.
 """
 
 from __future__ import annotations
@@ -142,28 +143,31 @@ def lu_append_column(
 
 
 class ProgressiveLU:
-    """P(I - hg*H_i) = L U for the leading blocks H_i of a growing Hessenberg H.
+    """e_i^T x of (I - hg*H_i) x = rhs0 e_1 for the leading blocks H_i of a
+    growing Hessenberg H: the one scalar per size that the adaptive Arnoldi
+    stopping test reads.
 
     The progressive elimination of FOM/DIOM (Saad, Iterative Methods for
-    Sparse Linear Systems, 2nd ed., ch. 6) in getrf's packed form.  On an
-    upper-Hessenberg matrix, partial pivoting compares a column's diagonal
-    only with the subdiagonal entry below it.  So when row and column i
-    arrive, the pivot of column i-1 is settled, every earlier step is
-    final, and the bottom pivot of the block stays tentative until the
-    next column.  The factor of each block is the one getrf computes,
-    up to rounding.
-
-    Alongside the factor it carries the last entry of L^{-1} P (rhs0 e_1),
-    so last_entry() gives e_i^T x of (I - hg*H_i) x = rhs0 e_1 for one
-    division: the quantity the adaptive Arnoldi stopping test needs.
+    Sparse Linear Systems, 2nd ed., ch. 6).  On an upper-Hessenberg matrix,
+    partial pivoting compares a column's diagonal only with the
+    subdiagonal entry below it, so elimination step k touches rows k and
+    k+1 only.  When row and column i arrive, the pivot of column i-1 is
+    settled and every earlier step is final; the bottom pivot of the block
+    stays tentative until the next column.  So the elimination keeps, per
+    settled column, whether rows k and k+1 were interchanged and the
+    multiplier, and besides those only the last entry of L^{-1} P (rhs0
+    e_1), the tentative pivot, the smallest settled pivot and the max-abs
+    scale of the block.  Each column costs O(i) two-row updates, and the
+    pivots and interchanges are getrf's for every block.  The step factors
+    its own reduced system (lu_factor).
     """
 
-    def __init__(self, hg: float, capacity: int, rhs0: float):
+    def __init__(self, hg: float, rhs0: float):
         self.hg = hg
         self.size = 0
         self.scale = 0.0
-        self._lu = np.zeros((capacity, capacity))
-        self._piv = np.arange(capacity, dtype=np.int32)
+        self._steps: list[tuple[bool, float]] = []  # (interchange, multiplier)
+        self._pivot = 0.0
         self._settled_min = np.inf
         self._y = rhs0
         self._sub = 0.0
@@ -175,56 +179,40 @@ class ProgressiveLU:
         enters the block with the column after it.
         """
         i = self.size
-        lu = self._lu
         a = column[: i + 1] * -self.hg
         a[i] += 1.0
         self.scale = max(self.scale, float(np.abs(a).max()))
         if i > 0:
-            p = i - 1
-            tentative = float(lu[p, p])
-            sub = self._sub
+            tentative, sub = self._pivot, self._sub
             self.scale = max(self.scale, abs(sub))
-            if abs(sub) > abs(tentative):
-                # Interchange rows p and i, L parts included, as getrf does.
+            swap = abs(sub) > abs(tentative)
+            if swap:
                 # Row i's right-hand side entry (zero) moves up, and the
                 # tentative one moves down unchanged.
-                self._piv[p] = i
-                lu[i, :p] = lu[p, :p]
-                lu[p, :p] = 0.0
-                lu[p, p] = sub
-                lu[i, p] = tentative / sub
+                mult = tentative / sub
             else:
                 mult = sub / tentative if tentative != 0.0 else 0.0
-                lu[i, p] = mult
                 self._y = -mult * self._y
-            self._settled_min = min(self._settled_min, abs(float(lu[p, p])))
-            a = _forward(lu[: i + 1, : i + 1], self._piv[:i], a)
-        lu[: i + 1, i] = a
+            self._steps.append((swap, mult))
+            self._settled_min = min(self._settled_min, max(abs(sub), abs(tentative)))
+        # L^{-1} P a, one two-row step per settled column; only its bottom
+        # entry, the new tentative pivot, is kept.
+        col = a.tolist()
+        top = col[0]
+        for below, (swap, mult) in zip(col[1:], self._steps):
+            if swap:
+                top, below = below, top
+            top = below - mult * top
+        self._pivot = top
         self._sub = -self.hg * float(column[i + 1])
         self.size = i + 1
-
-    def _singular(self) -> bool:
-        # lu_factor's test: some pivot of the block at or below the threshold.
-        p = self.size - 1
-        return min(self._settled_min, abs(float(self._lu[p, p]))) <= _pivot_threshold(self.scale)
 
     def last_entry(self) -> float | None:
         """e_i^T x for (I - hg*H_i) x = rhs0 e_1 at the current size i, or
         None where lu_factor would raise SingularMatrixError."""
-        if self._singular():
+        if min(self._settled_min, abs(self._pivot)) <= _pivot_threshold(self.scale):
             return None
-        p = self.size - 1
-        return self._y / float(self._lu[p, p])
-
-    def factorization(self) -> HessenbergFactorization | None:
-        """A copy of the current block's factor, or None where lu_factor
-        would raise SingularMatrixError."""
-        if self._singular():
-            return None
-        i = self.size
-        return HessenbergFactorization(
-            lu=self._lu[:i, :i].copy(), piv=self._piv[:i].copy(), hg=self.hg, scale=self.scale
-        )
+        return self._y / self._pivot
 
 
 def spectral_radius(a: np.ndarray) -> float:

@@ -263,30 +263,21 @@ def make_random_linear(n: int, seed: int, stiffness: float = 4.0) -> OdeProblem:
     return make_linear(q - stiffness * np.eye(n), name=f"linear-random-{n}-s{seed}{suffix}")
 
 
-# Problem registry: the CLI resolves problems by name.  A plugin registers
-# a factory taking keyword parameters and returning an OdeProblem.
-_REGISTRY: dict[str, callable] = {}
-
-
-def register_problem(name: str, factory) -> None:
-    _REGISTRY[name] = factory
+# The problems the CLI resolves by name: factories that take keyword
+# parameters and return an OdeProblem.
+PROBLEMS = {
+    "dahlquist": make_dahlquist,
+    "smooth-nonlinear": make_smooth_nonlinear,
+    "allen-cahn": lambda nx=64, ny=64, alpha=1.0, gamma_rc=1.0: make_allen_cahn(
+        AllenCahnSpec(nx=int(nx), ny=int(ny), alpha=float(alpha), gamma_rc=float(gamma_rc))
+    ),
+    "linear-random": lambda n=8, seed=0, stiffness=4.0: make_random_linear(
+        int(n), int(seed), float(stiffness)
+    ),
+}
 
 
 def get_problem(name: str, **params) -> OdeProblem:
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown problem {name!r}; registered: {sorted(_REGISTRY)}")
-    return _REGISTRY[name](**params)
-
-
-register_problem("dahlquist", lambda lam=-1.0: make_dahlquist(lam))
-register_problem("smooth-nonlinear", lambda: make_smooth_nonlinear())
-register_problem(
-    "allen-cahn",
-    lambda nx=64, ny=64, alpha=1.0, gamma_rc=1.0: make_allen_cahn(
-        AllenCahnSpec(nx=int(nx), ny=int(ny), alpha=float(alpha), gamma_rc=float(gamma_rc))
-    ),
-)
-register_problem(
-    "linear-random",
-    lambda n=8, seed=0, stiffness=4.0: make_random_linear(int(n), int(seed), float(stiffness)),
-)
+    if name not in PROBLEMS:
+        raise KeyError(f"unknown problem {name!r}; known: {sorted(PROBLEMS)}")
+    return PROBLEMS[name](**params)

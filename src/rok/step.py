@@ -119,8 +119,9 @@ def rok_step(
 
     The basis must be one build_fixed or build_adaptive returned for f(y),
     with no appended vectors; stage 1 reuses its start vector instead of
-    re-evaluating the RHS.  The reduced system is factored once, unless
-    the basis carries the factor at h*gamma that build_adaptive computed.
+    re-evaluating the RHS.  The reduced system I - h*gamma*H is factored
+    once (linalg.lu_factor), and again only where a stage vector's
+    column append finds a singular pivot.
     The step's stats are read from the final basis (its size, appended
     vectors and hit-cap flag) and from lambda_1 (the first-stage residual).
     Raises SingularMatrixError if the reduced system cannot be factored
@@ -130,9 +131,7 @@ def rok_step(
     """
     tab = tableau
     gamma_full = tab.gamma_full
-    fac = basis.fac
-    if fac is None or fac.hg != h * tab.gamma or fac.size != basis.size:
-        fac = linalg.lu_factor(basis.h, h * tab.gamma)
+    fac = linalg.lu_factor(basis.h, h * tab.gamma)
     refactorized = False
     lambdas: list[np.ndarray] = []
     f_stages: list[np.ndarray] = []

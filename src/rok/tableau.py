@@ -158,9 +158,9 @@ def parse_tableau(text: str, name: str = "tableau") -> Tableau:
 
 
 def load_tableau(path) -> Tableau:
-    """Load and validate a tableau coefficient file."""
+    """Load and validate a UTF-8 tableau coefficient file."""
     path = Path(path)
-    return parse_tableau(path.read_text(), name=path.stem)
+    return parse_tableau(path.read_text(encoding="utf-8"), name=path.stem)
 
 
 def default_tableau() -> Tableau:

@@ -9,8 +9,7 @@ import pytest
 
 from rok import cli
 from rok.integrate import AdaptiveResidual, FixedBasis, IntegratorConfig, integrate
-from rok.problems import (AllenCahnSpec, OdeProblem, get_problem, make_allen_cahn,
-                          register_problem)
+from rok.problems import PROBLEMS, AllenCahnSpec, OdeProblem, get_problem, make_allen_cahn
 from rok.reference import read_reference, write_reference
 from rok.tableau import default_tableau
 
@@ -192,12 +191,12 @@ def test_bad_problem_value_is_a_config_error(tmp_path, capsys, name, key, value)
 
 
 @pytest.mark.parametrize("case", ["rk4-mismatch", "step-underflow"])
-def test_reference_failure_is_not_a_config_error(tmp_path, capsys, case):
+def test_reference_failure_is_not_a_config_error(tmp_path, capsys, monkeypatch, case):
     if case == "rk4-mismatch":
         # two RK4 steps on y' = -y miss the reference by ~1e-4, far beyond cross_tol
         cfg = DAHLQUIST_RUN + "\n[reference]\nrk4_steps = 2\ncross_tol = 1e-12\n"
     else:
-        register_problem("cli-ref-poisoned", lambda: make_poisoned_problem("cli-ref-poisoned"))
+        monkeypatch.setitem(PROBLEMS, "cli-ref-poisoned", lambda: make_poisoned_problem("cli-ref-poisoned"))
         cfg = "[problem]\nname = cli-ref-poisoned\n"
     assert cli.main(["--config", str(write(tmp_path, cfg)), "reference"]) == 1
     assert "reference computation failed" in capsys.readouterr().err
@@ -232,18 +231,23 @@ def _forbid_computation(monkeypatch):
     monkeypatch.setattr(cli.stability, "transfer_matrix_analytic", computed)
 
 
-@pytest.mark.parametrize("case", ["directory", "not-utf8"])
+@pytest.mark.parametrize("case", ["directory", "not-utf8", "tableau-not-utf8"])
 def test_unreadable_config_is_a_config_error(tmp_path, capsys, monkeypatch, case):
     _forbid_computation(monkeypatch)
     path = tmp_path
-    if case == "not-utf8":
+    if case.endswith("not-utf8"):
         data = np.random.default_rng(47).integers(0, 256, 512, dtype=np.uint8).tobytes()
         with pytest.raises(UnicodeDecodeError):
             data.decode("utf-8")
         path = tmp_path / "config.ini"
         path.write_bytes(data)
+    if case == "tableau-not-utf8":
+        path = write(tmp_path, DAHLQUIST_RUN + f"tableau = {path}\n", name="tab.ini")
     assert cli.main(["--config", str(path), "run"]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if case == "tableau-not-utf8":
+        assert "[integrator] tableau" in err
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
@@ -325,43 +329,43 @@ def test_run_with_tableau_file_matches_the_default(tmp_path, capsys):
     assert capsys.readouterr().out == default_out
 
 
-def test_run_reports_convergence_failure(tmp_path, capsys):
-    register_problem("cli-poisoned", lambda: make_poisoned_problem("cli-poisoned"))
+def test_run_reports_convergence_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(PROBLEMS, "cli-poisoned", lambda: make_poisoned_problem("cli-poisoned"))
     cfg = DAHLQUIST_RUN.replace("name = dahlquist", "name = cli-poisoned")
     assert cli.main(["--config", str(write(tmp_path, cfg)), "run"]) == 1
     assert "FAILED" in capsys.readouterr().err
 
 
-def _register_nan_rhs(name):
-    register_problem(name, lambda: OdeProblem(
+def _register_nan_rhs(monkeypatch, name):
+    monkeypatch.setitem(PROBLEMS, name, lambda: OdeProblem(
         dim=2, rhs=lambda y: np.full(2, np.nan), linearize=lambda y: lambda v: -v, name=name,
         y0=np.ones(2), t_span=(0.0, 1.0)))
 
 
-def test_run_reports_non_finite_rhs(tmp_path, capsys):
-    _register_nan_rhs("cli-nan-rhs")
+def test_run_reports_non_finite_rhs(tmp_path, capsys, monkeypatch):
+    _register_nan_rhs(monkeypatch, "cli-nan-rhs")
     cfg = DAHLQUIST_RUN.replace("name = dahlquist", "name = cli-nan-rhs")
     assert cli.main(["--config", str(write(tmp_path, cfg)), "run"]) == 1
     err = capsys.readouterr().err
     assert "FAILED" in err and "not finite" in err
 
 
-def _register_nan_jvp(name):
-    register_problem(name, lambda: OdeProblem(
+def _register_nan_jvp(monkeypatch, name):
+    monkeypatch.setitem(PROBLEMS, name, lambda: OdeProblem(
         dim=2, rhs=lambda y: -y, linearize=lambda y: lambda v: np.full(2, np.nan), name=name,
         y0=np.ones(2), t_span=(0.0, 1.0)))
 
 
-def test_run_reports_jvp_failure(tmp_path, capsys):
-    _register_nan_jvp("cli-nan-jvp")
+def test_run_reports_jvp_failure(tmp_path, capsys, monkeypatch):
+    _register_nan_jvp(monkeypatch, "cli-nan-jvp")
     cfg = DAHLQUIST_RUN.replace("name = dahlquist", "name = cli-nan-jvp")
     assert cli.main(["--config", str(write(tmp_path, cfg)), "run"]) == 1
     err = capsys.readouterr().err
     assert "FAILED" in err and "jvp returned non-finite values" in err
 
 
-def test_sweep_records_jvp_failure_as_failure():
-    _register_nan_jvp("cli-sweep-nan-jvp")
+def test_sweep_records_jvp_failure_as_failure(monkeypatch):
+    _register_nan_jvp(monkeypatch, "cli-sweep-nan-jvp")
     cp = cli.load_config(None)
     cp.remove_section("problem")
     cp.add_section("problem")
@@ -374,8 +378,8 @@ def test_sweep_records_jvp_failure_as_failure():
     assert row["error"] == ""
 
 
-def test_sweep_records_non_finite_rhs_as_failure():
-    _register_nan_rhs("cli-sweep-nan-rhs")
+def test_sweep_records_non_finite_rhs_as_failure(monkeypatch):
+    _register_nan_rhs(monkeypatch, "cli-sweep-nan-rhs")
     cp = cli.load_config(None)
     cp.remove_section("problem")
     cp.add_section("problem")
@@ -484,8 +488,8 @@ def test_sweep_refuses_a_reference_for_other_parameters(tmp_path, capsys, name, 
     assert "config error" in capsys.readouterr().err
 
 
-def test_sweep_records_failures_without_error_values(tmp_path):
-    register_problem("cli-sweep-poisoned", lambda: make_poisoned_problem("cli-sweep-poisoned"))
+def test_sweep_records_failures_without_error_values(tmp_path, monkeypatch):
+    monkeypatch.setitem(PROBLEMS, "cli-sweep-poisoned", lambda: make_poisoned_problem("cli-sweep-poisoned"))
     cp = cli.load_config(None)
     cp.remove_section("problem")
     cp.add_section("problem")

@@ -299,32 +299,27 @@ def test_direct_step_reports_a_singular_stage_matrix(tab):
 
 def test_benchmark_hook_points_see_every_step(tab, monkeypatch):
     # perfbench/spans.py traces a run by replacing these module attributes;
-    # the integrator must call through them on every attempt.  An adaptive
-    # basis carries the factor of its stopping test, so lu_factor runs only
-    # where a step refactorizes after a failed append or finds no factor.
+    # the integrator must call through them on every attempt.  Every
+    # attempt factors its reduced system once, whatever built the basis, and
+    # once more for each append that finds a singular pivot: lu_factor calls
+    # = attempts + refactorized appends.
     calls = Counter()
 
-    def counting(owner, name, on_result=None):
+    def counting(owner, name):
         fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            result = fn(*args, **kwargs)
-            if on_result is not None:
-                on_result(result)
-            return result
+            try:
+                return fn(*args, **kwargs)
+            except SingularMatrixError:
+                calls[f"{name} singular"] += 1
+                raise
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    def stepped(res):
-        calls["refactorized"] += int(res.stats.refactorized)
-
-    def built(basis):
-        calls["built_without_factor"] += int(basis.fac is None)
-
-    counting(importlib.import_module("rok.integrate"), "rok_step", stepped)  # rok.integrate is the function
-    counting(arnoldi, "build_adaptive", built)
-    for name in ("build_fixed", "extend"):
+    counting(importlib.import_module("rok.integrate"), "rok_step")  # rok.integrate is the function
+    for name in ("build_adaptive", "build_fixed", "extend"):
         counting(arnoldi, name)
     for name in ("lu_factor", "lu_solve", "lu_append_column"):
         counting(linalg, name)
@@ -342,12 +337,11 @@ def test_benchmark_hook_points_see_every_step(tab, monkeypatch):
         assert calls["rok_step"] == attempts
         assert calls["jv"] == stats.jvp_evals > 0
         assert calls["lu_solve"] >= tab.s * attempts
+        assert calls["lu_factor"] == attempts + calls["lu_append_column singular"]
         if isinstance(strategy, FixedBasis):
-            assert calls["lu_factor"] >= attempts
             assert calls["build_fixed"] == stats.accepted  # a retry keeps the basis
             assert calls["build_adaptive"] == 0
         else:
-            assert calls["lu_factor"] == calls["refactorized"] + calls["built_without_factor"]
             assert calls["build_adaptive"] == attempts  # a retry reruns the stopping test
             assert calls["build_fixed"] == 0
         if extend:

@@ -130,7 +130,7 @@ def test_lu_solve_shape_check():
 
 def grow(hess, hg, rhs0):
     """Yield a ProgressiveLU after each column of the (m+1) x m Hessenberg hess."""
-    plu = linalg.ProgressiveLU(hg, hess.shape[1], rhs0)
+    plu = linalg.ProgressiveLU(hg, rhs0)
     for i in range(1, hess.shape[1] + 1):
         plu.append(hess[: i + 1, i - 1])
         yield i, plu
@@ -139,7 +139,7 @@ def grow(hess, hg, rhs0):
 def test_progressive_lu_matches_getrf_of_every_leading_block():
     # Oracle: scipy's getrf and getrs on each leading i x i block.  Large hg
     # lets the subdiagonal win many pivots, so rows also interchange at
-    # consecutive columns and L entries travel down more than one row.
+    # consecutive columns, as getrf's pivots of the full block show.
     rng = np.random.default_rng(60)
     swaps, runs = {}, 0
     for hg in (1e-6, 1e-4, 1e-2, 1.0, 1e2):
@@ -152,15 +152,9 @@ def test_progressive_lu_matches_getrf_of_every_leading_block():
                 a = np.eye(i) - hg * hess[:i, :i]
                 lu, piv = scipy.linalg.lu_factor(a)
                 x = scipy.linalg.lu_solve((lu, piv), rhs0 * np.eye(i)[0])
+                assert plu.size == i and plu.scale == np.max(np.abs(a))
                 assert abs(plu.last_entry() - x[-1]) <= 1e-12 * abs(x[-1])
-                fac = plu.factorization()
-                assert fac.size == i and fac.hg == hg
-                assert np.array_equal(fac.piv, piv)
-                assert fac.scale == np.max(np.abs(a))
-                b = rng.standard_normal(i)
-                ref = linalg.lu_solve(linalg.lu_factor(hess[:i, :i], hg), b)
-                assert np.max(np.abs(linalg.lu_solve(fac, b) - ref)) <= 1e-12 * np.max(np.abs(ref))
-            swapped = fac.piv != np.arange(m)
+            swapped = piv != np.arange(m)
             swaps[hg] += int(np.count_nonzero(swapped))
             runs += int(np.count_nonzero(swapped[1:] & swapped[:-1]))
     assert swaps[1e-6] == 0
@@ -179,12 +173,12 @@ def test_progressive_lu_reports_singular_blocks_like_lu_factor():
             if regular_from is None or i < regular_from:
                 with pytest.raises(SingularMatrixError):
                     linalg.lu_factor(hess[:i, :i], hg)
-                assert plu.last_entry() is None and plu.factorization() is None
+                assert plu.last_entry() is None
             else:
                 fac = linalg.lu_factor(hess[:i, :i], hg)
                 x = linalg.lu_solve(fac, np.eye(i)[0])
                 assert plu.last_entry() == pytest.approx(x[-1], rel=1e-12)
-                assert np.array_equal(plu.factorization().piv, fac.piv)
+                assert fac.piv[0] == 1  # the interchange at column 0
 
 
 def test_spectral_radius_known_values():

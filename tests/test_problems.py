@@ -1,4 +1,4 @@
-"""Built-in problems: derivative consistency, grids, and the registry."""
+"""Built-in problems: derivative consistency, grids, and lookup by name."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from rok.problems import (
     make_linear,
     make_random_linear,
     make_smooth_nonlinear,
-    register_problem,
 )
 
 
@@ -261,10 +260,11 @@ def test_one_jacobian_callback_serves_dense_and_sparse_access():
 def test_registry_round_trip():
     prob = get_problem("allen-cahn", nx=8, ny=8, alpha=0.5)
     assert prob.dim == 64
-    with pytest.raises(KeyError):
+    assert get_problem("dahlquist", lam=-2.0).dim == 1
+    # the error lists every name get_problem resolves
+    with pytest.raises(KeyError, match="'allen-cahn', 'dahlquist', 'linear-random', "
+                                       "'smooth-nonlinear'"):
         get_problem("no-such-problem")
-    register_problem("custom-test-problem", lambda k=1.0: make_dahlquist(-float(k)))
-    assert get_problem("custom-test-problem", k=2.0).dim == 1
 
 
 # Small instances of the built-in problems, with parameters that make a

@@ -1,7 +1,5 @@
 """Single-step behavior: reduced-space stages, extension, residual forms."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -221,64 +219,61 @@ def count_lu_factor(monkeypatch):
     return calls
 
 
-def test_adaptive_step_reuses_the_stopping_test_factor(tab, monkeypatch):
-    # The first-stage system of the step is the system the stopping test
-    # solved, so the step factors nothing and reports the residual the
-    # test passed (its RHS V^T f is beta e_1 up to rounding).
+def test_every_step_factors_its_reduced_system_once(tab, monkeypatch):
+    # Whatever built the basis, a step factors I - h*gamma*H once, plus
+    # once for every stage vector whose column append finds a singular
+    # pivot (forced here on every other append).  The first-stage system
+    # of an adaptive basis is the system the stopping test solved, so the
+    # step reports the residual the test passed (its RHS V^T f is beta e_1
+    # up to rounding).
     rng = np.random.default_rng(50)
     calls = count_lu_factor(monkeypatch)
+    append = linalg.lu_append_column
+    appends, failed = [], []
+
+    def failing_every_other(*args):
+        appends.append(args)
+        if len(appends) % 2 == 0:
+            failed.append(args)
+            raise SingularMatrixError("forced")
+        return append(*args)
+
+    monkeypatch.setattr(linalg, "lu_append_column", failing_every_other)
     h, tol = 0.05, 1e-6
     capped = 0
     for m_max in (48, 48, 48, 48, 2, 2):
         prob = make_random_nonlinear(40, rng, stiffness=10.0)
         y = rng.standard_normal(40)
-        basis = arnoldi.build_adaptive(prob, y, prob.f(y), h, tab.gamma, tol, m_max)
-        assert basis.fac is not None and basis.fac.size == basis.size
+        f = prob.f(y)
+        basis = arnoldi.build_adaptive(prob, y, f, h, tab.gamma, tol, m_max)
         capped += basis.hit_cap
-        calls.clear()
-        res = step.rok_step(prob, y, h, tab, basis)
-        assert not calls
         m = basis.size
         lam1 = np.linalg.solve(np.eye(m) - h * tab.gamma * basis.h, h * basis.beta * np.eye(m)[0])
         tested = abs(h * tab.gamma * basis.h_next) * abs(lam1[-1])
+        res = step.rok_step(prob, y, h, tab, basis)
         assert res.stats.first_stage_residual == pytest.approx(tested, rel=1e-12, abs=0.0)
         if not basis.hit_cap:
             assert res.stats.first_stage_residual <= tol * (1.0 + 1e-12)
-        ext = step.rok_step(prob, y, h, tab, basis, extend=True)
-        assert ext.stats.extensions > 0
-        assert len(calls) == int(ext.stats.refactorized)
+        for built in (basis, arnoldi.build_fixed(prob, y, f, min(m_max, 8))):
+            calls.clear()
+            step.rok_step(prob, y, h, tab, built)
+            assert len(calls) == 1
+            assert np.array_equal(calls[0][0], built.h) and calls[0][1] == h * tab.gamma
+            calls.clear()
+            failed_before = len(failed)
+            ext = step.rok_step(prob, y, h, tab, built, extend=True)
+            assert ext.stats.extensions > 0
+            assert len(calls) == 1 + len(failed) - failed_before
+            assert ext.stats.refactorized == (len(failed) > failed_before)
     assert 0 < capped < 6
-
-
-def test_step_refactors_a_basis_whose_factor_does_not_fit(tab, monkeypatch):
-    # At another h, or with a factor of another size, the step must give
-    # exactly what a fresh lu_factor gives.
-    rng = np.random.default_rng(51)
-    prob = make_random_nonlinear(40, rng, stiffness=10.0)
-    y = rng.standard_normal(40)
-    h = 0.05
-    basis = arnoldi.build_adaptive(prob, y, prob.f(y), h, tab.gamma, 1e-6, 48)
-    bare = replace(basis, fac=None)
-    reused = step.rok_step(prob, y, h, tab, basis).y_new
-    fresh = step.rok_step(prob, y, h, tab, bare).y_new
-    assert np.max(np.abs(reused - fresh)) <= 1e-12 * np.max(np.abs(fresh))
-    calls = count_lu_factor(monkeypatch)
-    other = step.rok_step(prob, y, 0.5 * h, tab, basis).y_new
-    assert len(calls) == 1
-    assert np.array_equal(other, step.rok_step(prob, y, 0.5 * h, tab, bare).y_new)
-    grown = arnoldi.extend(basis, rng.standard_normal(40))
-    assert grown.size == basis.size + 1 and grown.fac is None
-    calls.clear()
-    mismatched = step.rok_step(prob, y, h, tab, replace(grown, fac=basis.fac)).y_new
-    assert len(calls) == 1
-    assert np.array_equal(mismatched, step.rok_step(prob, y, h, tab, grown).y_new)
-
+    assert 0 < len(failed) < len(appends)
 
 
 def test_extended_step_refactors_when_the_append_fails(tab, monkeypatch):
     # When the bordered append reports a singular pivot, the step factors
-    # the grown H from scratch, once per failed append, and gets the same
-    # step as the append would have.
+    # the grown H from scratch, once per failed append (the lu_factor calls
+    # after the step's first), and gets the same step as the append would
+    # have.
     rng = np.random.default_rng(52)
     prob = make_random_nonlinear(40, rng, stiffness=10.0)
     y = rng.standard_normal(40)
@@ -297,9 +292,9 @@ def test_extended_step_refactors_when_the_append_fails(tab, monkeypatch):
     calls = count_lu_factor(monkeypatch)
     forced = step.rok_step(prob, y, h, tab, basis, extend=True)
     assert forced.stats.refactorized
-    assert forced.stats.extensions == plain.stats.extensions == len(failed) == len(calls)
+    assert forced.stats.extensions == plain.stats.extensions == len(failed) == len(calls) - 1
     grown_h = forced.internals.basis.h
-    for k, (hmat, hg) in enumerate(calls, start=1):
+    for k, (hmat, hg) in enumerate(calls):
         size = basis.size + k
         assert np.array_equal(hmat, grown_h[:size, :size]) and hg == h * tab.gamma
     scale = np.max(np.abs(plain.y_new))
@@ -317,7 +312,7 @@ def test_first_stage_residual_is_the_tested_residual(tab, resid_tol):
     for h in (1e-5, 1e-4, 1e-3, 1e-2):
         basis = arnoldi.build_adaptive(prob, y, f, h, tab.gamma, resid_tol, 48)
         m = basis.size
-        lu = linalg.ProgressiveLU(h * tab.gamma, m, h * basis.beta)
+        lu = linalg.ProgressiveLU(h * tab.gamma, h * basis.beta)
         for i in range(1, m + 1):
             lu.append(basis.state.h[: i + 1, i - 1])
         tested = abs(h * tab.gamma * basis.h_next) * abs(lu.last_entry())
