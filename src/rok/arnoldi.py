@@ -181,21 +181,24 @@ class KrylovBasis:
         return self.beta * self.v[:, 0]
 
 
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of a 1-D float array, as np.linalg.norm computes it."""
+    return math.sqrt(np.dot(x, x))
+
+
 def _local_pass(z: np.ndarray, q: np.ndarray, lo: int,
                 overwrite_z: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
     """Project rows lo: of q out of z in one classical Gram-Schmidt pass.
 
-    Returns the remainder, the projection coefficients (zero on rows
-    below lo) and the remainder norm.  The remainder is z itself,
-    subtracted from in place, when overwrite_z is set (the caller owns z),
-    and a new array otherwise.  np.dot keeps the products in BLAS also for
-    a one-row q, where c^T @ q does not.
+    Returns the remainder, the projection coefficients of rows lo: and
+    the remainder norm.  The remainder is z itself, subtracted from in
+    place, when overwrite_z is set (the caller owns z), and a new array
+    otherwise.  np.dot keeps the products in BLAS also for a one-row q,
+    where c^T @ q does not.
     """
-    coeffs = np.zeros(q.shape[0])
     c = np.dot(q[lo:], z)
     z = np.subtract(z, np.dot(c, q[lo:]), out=z if overwrite_z else None)
-    coeffs[lo:] += c
-    return z, coeffs, float(np.linalg.norm(z))
+    return z, c, _norm(z)
 
 
 def _full_pass(z: np.ndarray, q: np.ndarray, coeffs: np.ndarray, znorm: float) -> float:
@@ -209,19 +212,18 @@ def _full_pass(z: np.ndarray, q: np.ndarray, coeffs: np.ndarray, znorm: float) -
     """
     for _ in range(2):
         c = np.dot(q, z)
-        cnorm = float(np.linalg.norm(c))
+        cnorm = _norm(c)
         if cnorm <= OVERLAP_REL_TOL * znorm:
             break
         np.subtract(z, np.dot(c, q), out=z)
         coeffs += c
-        znorm = float(np.linalg.norm(z))
+        znorm = _norm(z)
         if cnorm <= znorm:
             break
     return znorm
 
 
-def _orthogonalize(z: np.ndarray, q: np.ndarray, lo: int,
-                   overwrite_z: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
+def _orthogonalize(z: np.ndarray, q: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Orthogonalize z against the orthonormal rows of q.
 
     A local pass projects out rows lo: first, then a full pass
@@ -231,11 +233,11 @@ def _orthogonalize(z: np.ndarray, q: np.ndarray, lo: int,
     subtraction that kept most of z, or from a repeated one, whatever J is
     and wherever the local pass left z.  lo = 0 makes the local pass a
     full one, for vectors that lie nearly in the span.  Returns the
-    remainder (z itself when overwrite_z is set, a new array otherwise),
-    the summed projection coefficients of every subtraction, and the
-    remainder norm.
+    remainder (a new array; z is not modified), the summed projection
+    coefficients of every subtraction, and the remainder norm.
     """
-    z, coeffs, znorm = _local_pass(z, q, lo, overwrite_z)
+    coeffs = np.zeros(q.shape[0])
+    z, coeffs[lo:], znorm = _local_pass(z, q, lo)
     return z, coeffs, _full_pass(z, q, coeffs, znorm)
 
 
@@ -339,7 +341,7 @@ class _ArnoldiState:
         self.problem = problem
         self.y = y
         self.m_max = m_max
-        beta = float(np.linalg.norm(f))
+        beta = _norm(f)
         if beta <= ZERO_START_THRESHOLD:
             raise ZeroStartVectorError("start vector norm below threshold")
         self.beta = beta
@@ -363,18 +365,20 @@ class _ArnoldiState:
         np.divide(self.z, self.znorm, out=q[i])
         self.rows.used = i + 1
         zeta = self.problem.jv(self.lin, q[i])
-        zeta, coeffs, hnorm = _local_pass(zeta, q[: i + 1], max(0, i - 1), overwrite_z=True)
+        lo = max(0, i - 1)
+        coeffs = self.h[: i + 1, i]  # column i of H, zero in the rows before lo
+        zeta, coeffs[lo:], hnorm = _local_pass(zeta, q[: i + 1], lo, overwrite_z=True)
         if self.overlaps is None or self.overlaps.advance(coeffs, hnorm):
             hnorm = _full_pass(zeta, q[: i + 1], coeffs, hnorm)
             self.full_passes += 1
             if self.overlaps is not None:
                 self.overlaps.reorthogonalized(hnorm)
-        self.h[: i + 1, i] = coeffs
+            lo = 0  # the full pass added to every row
         self.h[i + 1, i] = hnorm
         self.m = i + 1
         self.z, self.znorm = zeta, hnorm
         # ||J q_i||, by Pythagoras from the coefficients and the remainder
-        jq_norm = math.hypot(float(np.linalg.norm(coeffs)), hnorm)
+        jq_norm = math.hypot(_norm(coeffs[lo:]), hnorm)
         self.broke_down = hnorm <= BREAKDOWN_REL_TOL * jq_norm
         return not self.broke_down
 
@@ -484,7 +488,7 @@ def extend(basis: KrylovBasis, w: np.ndarray) -> KrylovBasis:
     w is not modified.
     """
     w = np.asarray(w, dtype=float)
-    wnorm = float(np.linalg.norm(w))
+    wnorm = _norm(w)
     if wnorm == 0.0:
         return basis
     m = basis.size

@@ -1,4 +1,16 @@
-"""Exception types shared across the suite."""
+"""Exception types shared across the suite, and the finiteness test behind
+NonFiniteError and JvpFailureError."""
+
+import math
+
+import numpy as np
+
+
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite: one sum, and the elementwise test
+    only when the sum is not finite, since a NaN or an infinity makes the
+    sum non-finite but finite entries can overflow it."""
+    return math.isfinite(x.sum()) or bool(np.isfinite(x).all())
 
 
 class SingularMatrixError(Exception):

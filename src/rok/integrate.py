@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arnoldi
-from .errors import NonFiniteError, SingularMatrixError, StepSizeUnderflowError
+from .errors import NonFiniteError, SingularMatrixError, StepSizeUnderflowError, all_finite
 from .step import rok_step
 from .tableau import Tableau
 
@@ -118,8 +118,10 @@ class Solution:
 
 
 def _error_norm(y_new, y_embedded, rtol, atol):
-    w = (y_new - y_embedded) / (atol + rtol * np.abs(y_new))
-    return float(np.sqrt(np.mean(w * w)))
+    w = y_new - y_embedded
+    w /= atol + rtol * np.abs(y_new)
+    w *= w
+    return math.sqrt(np.mean(w))
 
 
 def _build_basis(problem, y, f, h, tableau, config, previous=None):
@@ -144,7 +146,7 @@ def _build_basis(problem, y, f, h, tableau, config, previous=None):
 def _start_vector(problem, y, t):
     """f(y), or None when y is at rest (f(y) = 0 to arnoldi.ZERO_START_THRESHOLD)."""
     f0 = problem.f(y)
-    if not np.all(np.isfinite(f0)):
+    if not all_finite(f0):
         raise NonFiniteError(f"right-hand side f(y) is not finite at t={t:.6g}")
     return f0 if np.linalg.norm(f0) > arnoldi.ZERO_START_THRESHOLD else None
 

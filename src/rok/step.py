@@ -1,9 +1,10 @@
 """Single Rosenbrock steps and stage-residual diagnostics.
 
 Every step runs the same stage loop (run_stages): F_i = f(y + sum_j
-alpha_ij k_j), then a stage solver turns F_i into k_i, and y_new =
+alpha_ij k_j), then a stage solver solves stage i from F_i, and y_new =
 y + sum b_i k_i with the embedded y_embedded from b_hat.  Two solvers
-plug into it.
+plug into it, each with its combine(w) = sum_j w_j k_j, from which the
+loop forms the stage arguments and both results.
 
 rok_step solves each stage in the reduced space of a Krylov basis (V, H):
 
@@ -12,7 +13,14 @@ rok_step solves each stage in the reduced space of a Krylov basis (V, H):
     k_i      = V lambda_i + h (F_i - V psi_i) = V (lambda_i - h psi_i) + h F_i
 
 The basis is built from f(y), so F_1 is its start vector beta v_1,
-psi_1 = beta e_1 exactly and k_1 = V lambda_1.
+psi_1 = beta e_1 exactly and k_1 = V lambda_1.  rok_step never forms
+k_i.  It keeps each stage as the reduced vector mu_i = lambda_i - h psi_i
+(mu_1 = lambda_1) and its F_i, and forms a combination as
+
+    sum_j w_j k_j = V sum_j w_j mu_j + h sum_s c_s F_s,
+
+one basis product plus one term per distinct F: c_s sums the weights of
+the stages that use F_s (Tableau.f_source; stage 1's F is in V mu_1).
 
 With the extension variant, the basis is extended with each new F_i
 (tab.evaluates_f; a reused F is in the span already) before stage i is
@@ -35,13 +43,15 @@ Arnoldi overflow pair, and the out-of-span part of J on appended vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas
 
 from . import arnoldi, linalg
-from .errors import NonFiniteError, SingularMatrixError
+from .errors import NonFiniteError, SingularMatrixError, all_finite
 from .tableau import Tableau
 
 
@@ -60,7 +70,9 @@ class StepInternals:
 
     It holds references to arrays the step computes anyway, the final
     basis included, so a caller that keeps a StepResult keeps that basis
-    alive.  direct_step results carry no record.
+    alive.  The step forms no stage vector; k_stages forms them on first
+    read, k_i = V_i (lambda_i - h psi_i) + h F_i with V_i the basis of
+    stage i (k_1 = V_1 lambda_1).  direct_step results carry no record.
     """
 
     y: np.ndarray
@@ -70,7 +82,14 @@ class StepInternals:
     lambdas: list
     f_stages: list
     psi_stages: list
-    k_stages: list
+
+    @cached_property
+    def k_stages(self) -> list:
+        v, h = self.basis.v, self.h
+        ks = [v[:, : len(self.lambdas[0])] @ self.lambdas[0]]
+        for lam, f, psi in zip(self.lambdas[1:], self.f_stages[1:], self.psi_stages[1:]):
+            ks.append(v[:, : len(lam)] @ (lam - h * psi) + h * f)
+        return ks
 
 
 @dataclass
@@ -81,30 +100,35 @@ class StepResult:
     internals: StepInternals | None = None
 
 
-def run_stages(problem, y: np.ndarray, tab: Tableau, f1: np.ndarray, solve_stage):
+def run_stages(problem, y: np.ndarray, tab: Tableau, f1: np.ndarray, solve_stage, combine):
     """The Rosenbrock stage recursion shared by every step.
 
     Stage i evaluates F_i = f(y + sum_{j<i} alpha_ij k_j) where
     tab.evaluates_f says so; F_1 = f1 is given, and a stage whose alpha
-    row repeats the previous one reuses its F.  solve_stage(i, F_i, ks)
-    returns k_i from F_i and the earlier stages ks.
-    Returns (y + sum b_i k_i, y + sum b_hat_i k_i, ks).  Raises
+    row repeats the previous one reuses its F.  solve_stage(i, F_i)
+    solves stage i from F_i and the earlier stages, and combine(w)
+    returns sum_j w_j k_j over the first len(w) stages, as an array the
+    loop may overwrite.
+    Returns (y + sum b_i k_i, y + sum b_hat_i k_i).  Raises
     NonFiniteError if a stage RHS or either result is not finite.
     """
-    ks: list[np.ndarray] = []
+    def plus_y(w):
+        out = combine(w)
+        out += y
+        return out
+
     f_i = f1
     for i in range(tab.s):
         if tab.evaluates_f[i]:
-            f_i = problem.f(y + sum(tab.alpha[i, j] * ks[j] for j in range(i)))
-            if not np.all(np.isfinite(f_i)):
+            f_i = problem.f(plus_y(tab.alpha[i, :i]))
+            if not all_finite(f_i):
                 raise NonFiniteError(f"stage {i + 1} RHS is not finite")
-        ks.append(solve_stage(i, f_i, ks))
+        solve_stage(i, f_i)
 
-    y_new = y + sum(tab.b[i] * ks[i] for i in range(tab.s))
-    y_embedded = y + sum(tab.b_hat[i] * ks[i] for i in range(tab.s))
-    if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(y_embedded))):
+    y_new, y_embedded = plus_y(tab.b), plus_y(tab.b_hat)
+    if not (all_finite(y_new) and all_finite(y_embedded)):
         raise NonFiniteError("step produced a non-finite state")
-    return y_new, y_embedded, ks
+    return y_new, y_embedded
 
 
 def rok_step(
@@ -130,14 +154,15 @@ def rok_step(
     stage record that stage_residual_formula reads.
     """
     tab = tableau
-    gamma_full = tab.gamma_full
+    gamma_full, f_source = tab.gamma_full, tab.f_source
     fac = linalg.lu_factor(basis.h, h * tab.gamma)
     refactorized = False
-    lambdas: list[np.ndarray] = []
-    f_stages: list[np.ndarray] = []
-    psi_stages: list[np.ndarray] = []
+    lambdas, f_stages, psi_stages = [], [], []
+    # lambda_i and mu_i as zero-padded rows: an extended step appends at
+    # most one vector per stage
+    lam_rows, mu_rows = np.zeros((2, tab.s, basis.size + (tab.s if extend else 0)))
 
-    def solve_stage(i, f_i, ks):
+    def solve_stage(i, f_i):
         nonlocal basis, fac, refactorized
         if extend and tab.evaluates_f[i]:
             grown = arnoldi.extend(basis, f_i)
@@ -152,33 +177,37 @@ def rok_step(
                 basis = grown
 
         m = basis.size
-        v = basis.v
         if i == 0:  # F_1 is beta v_1, so psi_1 = beta e_1 exactly
             psi = np.zeros(m)
             psi[0] = basis.beta
         elif not tab.evaluates_f[i]:  # F_i is F_{i-1}; only a new F grows the basis
             psi = psi_stages[-1]
         else:
-            psi = v.T @ f_i
-        acc = np.zeros(m)
-        for j in range(i):
-            acc[: len(lambdas[j])] += gamma_full[i, j] * lambdas[j]
+            psi = basis.v.T @ f_i
+        acc = gamma_full[i, :i] @ lam_rows[:i, :m]
         lam = linalg.lu_solve(fac, h * psi + h * (basis.h @ acc))
 
         lambdas.append(lam)
         f_stages.append(f_i)
         psi_stages.append(psi)
-        if i == 0:
-            return v @ lam
-        return v @ (lam - h * psi) + h * f_i
+        lam_rows[i, :m] = lam
+        mu_rows[i, :m] = lam if i == 0 else lam - h * psi
 
-    y_new, y_embedded, ks = run_stages(problem, y, tab, basis.start_vector, solve_stage)
+    def combine(w):
+        out = basis.v @ (w @ mu_rows[: len(w), : basis.size])
+        for src in dict.fromkeys(f_source[1: len(w)]):  # each distinct F once
+            c = sum(w[j] for j in range(1, len(w)) if f_source[j] == src)
+            if c != 0.0:
+                blas.daxpy(f_stages[src], out, a=h * c)  # out += h c F_src, in place
+        return out
+
+    y_new, y_embedded = run_stages(problem, y, tab, basis.start_vector, solve_stage, combine)
 
     r1 = arnoldi.first_stage_residual_norm(h, tab.gamma, basis.h_next,
                                            lambdas[0][basis.core_size - 1])
     stats = StepStats(basis_total=basis.size, extensions=basis.ext_count, first_stage_residual=r1,
                       refactorized=refactorized, hit_cap=basis.hit_cap)
-    internals = StepInternals(y, h, tab, basis, lambdas, f_stages, psi_stages, ks)
+    internals = StepInternals(y, h, tab, basis, lambdas, f_stages, psi_stages)
     return StepResult(y_new=y_new, y_embedded=y_embedded, stats=stats, internals=internals)
 
 
@@ -196,11 +225,16 @@ def direct_step(problem, y: np.ndarray, f0: np.ndarray, h: float, tableau: Table
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularMatrixError(f"I - h*gamma*J cannot be factored: {exc}") from exc
 
-    def solve_stage(i, f_i, ks):
-        acc = sum((tableau.gamma_lower[i, j] * ks[j] for j in range(i)), np.zeros(n))
-        return lu.solve(h * f_i + h * jac.dot(acc))
+    ks: list[np.ndarray] = []
 
-    y_new, y_embedded, _ = run_stages(problem, y, tableau, f0, solve_stage)
+    def solve_stage(i, f_i):
+        acc = sum((tableau.gamma_lower[i, j] * ks[j] for j in range(i)), np.zeros(n))
+        ks.append(lu.solve(h * f_i + h * jac.dot(acc)))
+
+    def combine(w):
+        return sum(w[j] * ks[j] for j in range(len(w)))
+
+    y_new, y_embedded = run_stages(problem, y, tableau, f0, solve_stage, combine)
     return StepResult(y_new=y_new, y_embedded=y_embedded,
                       stats=StepStats(basis_total=n))
 

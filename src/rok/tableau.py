@@ -85,6 +85,14 @@ class Tableau:
         return (False,) + tuple(not np.array_equal(self.alpha[i], self.alpha[i - 1])
                                 for i in range(1, self.s))
 
+    @cached_property
+    def f_source(self) -> tuple[int, ...]:
+        """Per stage: the stage whose F it uses, its own or, for a stage
+        that reuses F, the last earlier stage that evaluated one (0 for
+        stage 1's f(y))."""
+        return tuple(max(j for j in range(i + 1) if j == 0 or self.evaluates_f[j])
+                     for i in range(self.s))
+
     def validate(self) -> None:
         for name, mat in (("alpha", self.alpha), ("gamma_lower", self.gamma_lower)):
             if mat.shape != (self.s, self.s):

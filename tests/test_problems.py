@@ -125,6 +125,36 @@ def test_allen_cahn_products_round_as_the_public_formulas():
     assert prob.n_jvp == 8
 
 
+def _neumann_laplacian_1d(n):
+    # The cell-centered second difference with mirror ghost cells, built
+    # here rather than by rok's assembly.
+    main = np.full(n, -2.0)
+    main[[0, -1]] = -1.0
+    return sp.diags([np.ones(n - 1), main, np.ones(n - 1)], [-1, 0, 1]) * n**2
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_allen_cahn_jv_is_one_call_of_the_kernel(n):
+    # Jv stacks the reaction diagonal after the Laplacian's five, so one
+    # kernel call rounds exactly as lap @ v + d * v.  Each linearization
+    # keeps its own diagonal: a lin taken at a still gives J(a) v after
+    # linearize(b).  A vector of the wrong shape still fails as a JVP.
+    prob = make_allen_cahn(AllenCahnSpec(nx=n, ny=n, alpha=1.0))
+    lap = sp.kronsum(_neumann_laplacian_1d(n), _neumann_laplacian_1d(n)).tocsr()
+    rng = np.random.default_rng(n + 1)
+    a, b = prob.y0 + 0.1 * rng.standard_normal((2, prob.dim))
+    lin_a = prob.linearize(a)
+    for v in rng.standard_normal((3, prob.dim)):
+        assert np.array_equal(prob.jv(lin_a, v), lap @ v + (1.0 - 3.0 * a**2) * v)
+    lin_b = prob.linearize(b)
+    v = rng.standard_normal(prob.dim)
+    assert np.array_equal(prob.jv(lin_a, v), lap @ v + (1.0 - 3.0 * a**2) * v)
+    assert np.array_equal(prob.jv(lin_b, v), lap @ v + (1.0 - 3.0 * b**2) * v)
+    for wrong in (np.ones(prob.dim - 1), np.ones((prob.dim, 1))):
+        with pytest.raises(JvpFailureError):
+            prob.jv(lin_a, wrong)
+
+
 def test_jv_without_a_kept_linearization_sees_an_in_place_change_of_y():
     prob = make_allen_cahn(AllenCahnSpec(nx=6, ny=5, alpha=1.0))
     u = prob.y0.copy()

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rok import arnoldi, linalg, step
-from rok.errors import NonFiniteError, SingularMatrixError
+from rok import arnoldi, default_tableau, linalg, step
+from rok.errors import JvpFailureError, NonFiniteError, SingularMatrixError
+from rok.integrate import _start_vector
 from rok.problems import AllenCahnSpec, OdeProblem, make_allen_cahn
 
 import oracles
@@ -166,6 +167,67 @@ def test_nonfinite_stage_rhs_raises(tab):
     basis = arnoldi.build_fixed(prob, y, f, 3)
     with pytest.raises(NonFiniteError):
         step.rok_step(prob, y, 0.1, tab, basis)
+
+
+NON_FINITE = [np.array([np.nan, 1.0]), np.array([np.inf, 1.0]), np.array([-np.inf, 1.0]),
+              np.array([np.inf, -np.inf])]
+
+
+# The checks sum first, and numpy warns when that sum overflows or meets
+# infinities of both signs.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf", "inf,-inf"])
+def test_every_finiteness_check_rejects_each_non_finite_value(bad):
+    # The checks sum first and look at the entries only when the sum is not
+    # finite; a NaN, an infinity and infinities of both signs must all fail.
+    prob = OdeProblem(dim=2, rhs=lambda y: bad, linearize=lambda y: lambda v: bad)
+    with pytest.raises(JvpFailureError):
+        prob.jv(prob.linearize(np.ones(2)), np.ones(2))
+    with pytest.raises(NonFiniteError):
+        _start_vector(prob, np.ones(2), 0.0)
+    with pytest.raises(NonFiniteError):
+        step.run_stages(prob, np.ones(2), default_tableau(), np.ones(2),
+                        lambda i, f_i: None, lambda w: np.zeros(2))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_finite_vector_whose_sum_overflows_passes_every_finiteness_check():
+    huge = np.full(4, 1e308)
+    assert not np.isfinite(huge.sum())
+    prob = OdeProblem(dim=4, rhs=lambda y: huge, linearize=lambda y: lambda v: huge)
+    assert np.array_equal(prob.jv(prob.linearize(np.ones(4)), np.ones(4)), huge)
+    assert _start_vector(prob, np.ones(4), 0.0) is not None
+    y_new, y_embedded = step.run_stages(prob, np.zeros(4), default_tableau(), huge,
+                                        lambda i, f_i: None, lambda w: huge.copy())
+    assert np.array_equal(y_new, huge) and np.array_equal(y_embedded, huge)
+
+
+def reduced_assembly_cases():
+    rng = np.random.default_rng(57)
+    nonlinear = make_random_nonlinear(30, rng)
+    allen_cahn = make_allen_cahn(AllenCahnSpec(nx=32, ny=32, alpha=1.0))
+    for prob, y, h in ((nonlinear, rng.standard_normal(30), 0.05),
+                       (allen_cahn, allen_cahn.y0, 1e-4)):
+        for kind in ("fixed", "adaptive", "fixed+ext", "adaptive+ext"):
+            yield pytest.param(prob, y, h, kind, id=f"{prob.name}-{kind}")
+
+
+@pytest.mark.parametrize("prob, y, h, kind", reduced_assembly_cases())
+def test_reduced_assembly_matches_the_stage_record(tab, prob, y, h, kind):
+    # The step forms y + sum b_i k_i as one basis product plus one term per
+    # distinct F; the record's stage vectors, formed the long way, must
+    # give the same results to rounding.
+    f = prob.f(y)
+    if kind.startswith("fixed"):
+        basis = arnoldi.build_fixed(prob, y, f, 6)
+    else:
+        basis = arnoldi.build_adaptive(prob, y, f, h, tab.gamma, 1e-6, 24)
+    res = step.rok_step(prob, y, h, tab, basis, extend=kind.endswith("+ext"))
+    assert res.stats.extensions == (2 if kind.endswith("+ext") else 0)
+    ks = res.internals.k_stages
+    for got, weights in ((res.y_new, tab.b), (res.y_embedded, tab.b_hat)):
+        want = y + sum(w * k for w, k in zip(weights, ks))
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_every_krylov_step_returns_its_stage_record(tab):
