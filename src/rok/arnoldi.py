@@ -10,7 +10,8 @@ The basis vectors are the rows of one preallocated C-contiguous array, so
 one sweep of the basis is one matrix-vector product: c = Q z measures the
 overlap of a new vector z with every row, and z -= c^T Q subtracts it.
 Each Arnoldi vector J q_i first gets a local pass against q_{i-1} and
-q_i.  For any J a full pass follows: one measuring sweep, and the
+q_i, and a vector appended from outside the Krylov sequence one against
+every row.  For any J a full pass follows: one measuring sweep, and the
 subtraction only when the overlap is above rounding,
 ||c|| > OVERLAP_REL_TOL * ||z||; after a subtraction, a second full pass
 runs only when the DGKS test (Daniel, Gragg, Kaufman and Stewart 1976)
@@ -67,10 +68,12 @@ written in place, in the rows after the basis in its Arnoldi process's
 storage.  Appended vectors always get the full pass, also for a
 declared-symmetric J: they are not Lanczos vectors, so neither the
 three-term recurrence nor the overlap model covers them.  The process
-writes v_{M+1} into a row only when it grows into it, and it stores EXTEND_SPARE_ROWS rows beyond m_max, so a basis of all
-its vectors appends in place, capped or not.  The basis is copied to new
-storage only when the row after it is taken already: by a process vector
-(a basis smaller than its process, as in a retried step) or by an append
+and extend get every row they write from _Rows.claim.  The process
+claims the row of v_{M+1} only when it grows into it, and it stores
+EXTEND_SPARE_ROWS rows beyond m_max, so a basis of all its vectors
+appends in place, capped or not.  The basis is copied to new storage
+only when the row after it is taken already: by a process vector (a
+basis smaller than its process, as in a retried step) or by an append
 to another basis.
 """
 
@@ -119,17 +122,29 @@ EXTEND_SPARE_ROWS = 4
 class _Rows:
     """Row-major vector storage shared by the bases that view its rows.
 
-    Rows below ``used`` are written and never change again; a basis may
-    write row ``used`` only when it is exactly ``used`` vectors long, that
-    is, when no other basis has claimed that row.  An Arnoldi process of
-    m vectors claims rows 0..m-1 and writes v_{m+1} into row m only when
-    it grows; when a basis has claimed row m by then, the process moves
-    to new storage first.  So no basis ever sees one of its rows change.
+    Rows below ``used`` are claimed: written once, and never changed
+    again.  Every writer gets its row from claim, which alone reads and
+    sets ``used``.  An Arnoldi process of m vectors has claimed rows
+    0..m-1 and claims row m only when it grows; extend claims the row
+    after its basis.  A writer whose row another basis has claimed
+    already gets new storage with a copy of the rows before it.  So no
+    basis ever sees one of its rows change.
     """
 
     def __init__(self, capacity: int, n: int):
         self.q = np.empty((capacity, n))
         self.used = 0
+
+    def claim(self, k: int, capacity: int) -> _Rows:
+        """A store in which the caller may write row k, rows 0..k-1 as
+        here: this store when row k is its next free row and exists, and
+        otherwise a new one of capacity rows.  Row k is claimed in it."""
+        rows = self
+        if self.used != k or k == self.q.shape[0]:
+            rows = _Rows(capacity, self.q.shape[1])
+            rows.q[:k] = self.q[:k]
+        rows.used = k + 1
+        return rows
 
     def view(self, size: int) -> np.ndarray:
         """Read-only (n, size) view of the first size rows."""
@@ -186,18 +201,17 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(np.dot(x, x))
 
 
-def _local_pass(z: np.ndarray, q: np.ndarray, lo: int,
-                overwrite_z: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
+def _local_pass(z: np.ndarray, q: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Project rows lo: of q out of z in one classical Gram-Schmidt pass.
 
-    Returns the remainder, the projection coefficients of rows lo: and
-    the remainder norm.  The remainder is z itself, subtracted from in
-    place, when overwrite_z is set (the caller owns z), and a new array
-    otherwise.  np.dot keeps the products in BLAS also for a one-row q,
-    where c^T @ q does not.
+    Returns the remainder, which is z, owned by the caller and subtracted
+    from in place, the projection coefficients of rows lo: and the
+    remainder norm.  lo = 0 makes the pass a full one, for vectors that
+    lie nearly in the span; _full_pass follows it.  np.dot keeps the
+    products in BLAS also for a one-row q, where c^T @ q does not.
     """
     c = np.dot(q[lo:], z)
-    z = np.subtract(z, np.dot(c, q[lo:]), out=z if overwrite_z else None)
+    np.subtract(z, np.dot(c, q[lo:]), out=z)
     return z, c, _norm(z)
 
 
@@ -221,24 +235,6 @@ def _full_pass(z: np.ndarray, q: np.ndarray, coeffs: np.ndarray, znorm: float) -
         if cnorm <= znorm:
             break
     return znorm
-
-
-def _orthogonalize(z: np.ndarray, q: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Orthogonalize z against the orthonormal rows of q.
-
-    A local pass projects out rows lo: first, then a full pass
-    (_full_pass) measures the overlap with every row and removes it where
-    it is above rounding.  The remainder thus has a measured overlap with
-    q of at most OVERLAP_REL_TOL relative to its norm, or comes from a
-    subtraction that kept most of z, or from a repeated one, whatever J is
-    and wherever the local pass left z.  lo = 0 makes the local pass a
-    full one, for vectors that lie nearly in the span.  Returns the
-    remainder (a new array; z is not modified), the summed projection
-    coefficients of every subtraction, and the remainder norm.
-    """
-    coeffs = np.zeros(q.shape[0])
-    z, coeffs[lo:], znorm = _local_pass(z, q, lo)
-    return z, coeffs, _full_pass(z, q, coeffs, znorm)
 
 
 class _OverlapModel:
@@ -357,17 +353,13 @@ class _ArnoldiState:
     def advance(self) -> bool:
         """Add one Krylov vector; returns False on happy breakdown."""
         i = self.m
-        if self.rows.used != i:  # a basis has claimed row i: move to storage of its own
-            old = self.rows.q
-            self.rows = _Rows(*old.shape)
-            self.rows.q[:i] = old[:i]
+        self.rows = self.rows.claim(i, self.m_max + EXTEND_SPARE_ROWS)
         q = self.rows.q
         np.divide(self.z, self.znorm, out=q[i])
-        self.rows.used = i + 1
         zeta = self.problem.jv(self.lin, q[i])
         lo = max(0, i - 1)
         coeffs = self.h[: i + 1, i]  # column i of H, zero in the rows before lo
-        zeta, coeffs[lo:], hnorm = _local_pass(zeta, q[: i + 1], lo, overwrite_z=True)
+        zeta, coeffs[lo:], hnorm = _local_pass(zeta, q[: i + 1], lo)
         if self.overlaps is None or self.overlaps.advance(coeffs, hnorm):
             hnorm = _full_pass(zeta, q[: i + 1], coeffs, hnorm)
             self.full_passes += 1
@@ -484,25 +476,21 @@ def extend(basis: KrylovBasis, w: np.ndarray) -> KrylovBasis:
     fill in their rows.  They go through the problem's jv with the
     linearization of the basis's Arnoldi process (basis.state).  v_bar is
     written into the storage row after the basis when no other basis has
-    claimed it (see _Rows), and into a copy of the basis otherwise.
-    w is not modified.
+    claimed it (see _Rows.claim), and into a copy of the basis otherwise.
+    w is not modified: a step's combinations read its stage RHS after
+    the append.
     """
-    w = np.asarray(w, dtype=float)
-    wnorm = _norm(w)
-    if wnorm == 0.0:
-        return basis
+    rem = np.array(w, dtype=float)  # a copy, which the two passes overwrite
+    wnorm = _norm(rem)
     m = basis.size
-    rem, _, remnorm = _orthogonalize(w, basis.v.T, 0)
-    if remnorm <= DROP_REL_TOL * wnorm:
+    rem, coeffs, remnorm = _local_pass(rem, basis.v.T, 0)
+    remnorm = _full_pass(rem, basis.v.T, coeffs, remnorm)
+    if remnorm <= DROP_REL_TOL * wnorm:  # w = 0 included
         return basis
     vbar = rem / remnorm
     jvbar = basis.state.problem.jv(basis.state.lin, vbar)
-    rows = basis.rows
-    if rows.used != m or rows.q.shape[0] == m:
-        rows = _Rows(m + EXTEND_SPARE_ROWS, basis.dim)
-        rows.q[:m] = basis.v.T
+    rows = basis.rows.claim(m, m + EXTEND_SPARE_ROWS)
     rows.q[m] = vbar
-    rows.used = m + 1
     h_new = np.zeros((m + 1, m + 1))
     h_new[:m, :m] = basis.h
     h_new[:, m] = rows.q[: m + 1] @ jvbar

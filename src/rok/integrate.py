@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arnoldi
-from .errors import NonFiniteError, SingularMatrixError, StepSizeUnderflowError, all_finite
+from .errors import NonFiniteError, SingularMatrixError, StepSizeUnderflowError
 from .step import rok_step
 from .tableau import Tableau
 
@@ -146,7 +146,7 @@ def _build_basis(problem, y, f, h, tableau, config, previous=None):
 def _start_vector(problem, y, t):
     """f(y), or None when y is at rest (f(y) = 0 to arnoldi.ZERO_START_THRESHOLD)."""
     f0 = problem.f(y)
-    if not all_finite(f0):
+    if not np.isfinite(f0).all():
         raise NonFiniteError(f"right-hand side f(y) is not finite at t={t:.6g}")
     return f0 if np.linalg.norm(f0) > arnoldi.ZERO_START_THRESHOLD else None
 

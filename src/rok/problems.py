@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import dia_matvec
 
-from .errors import JvpFailureError, all_finite
+from .errors import JvpFailureError
 
 
 def _param(x: float) -> str:
@@ -75,7 +75,7 @@ class OdeProblem:
             out = np.asarray(lin(v), dtype=float)
         except Exception as exc:
             raise JvpFailureError(f"Jv operator failed: {exc}") from exc
-        if not all_finite(out):
+        if not np.isfinite(out).all():
             raise JvpFailureError("jvp returned non-finite values")
         if np.may_share_memory(out, v):  # an identity operator returns v itself
             out = out.copy()

@@ -51,7 +51,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import blas
 
 from . import arnoldi, linalg
-from .errors import NonFiniteError, SingularMatrixError, all_finite
+from .errors import NonFiniteError, SingularMatrixError
 from .tableau import Tableau
 
 
@@ -121,12 +121,12 @@ def run_stages(problem, y: np.ndarray, tab: Tableau, f1: np.ndarray, solve_stage
     for i in range(tab.s):
         if tab.evaluates_f[i]:
             f_i = problem.f(plus_y(tab.alpha[i, :i]))
-            if not all_finite(f_i):
+            if not np.isfinite(f_i).all():
                 raise NonFiniteError(f"stage {i + 1} RHS is not finite")
         solve_stage(i, f_i)
 
     y_new, y_embedded = plus_y(tab.b), plus_y(tab.b_hat)
-    if not (all_finite(y_new) and all_finite(y_embedded)):
+    if not (np.isfinite(y_new).all() and np.isfinite(y_embedded).all()):
         raise NonFiniteError("step produced a non-finite state")
     return y_new, y_embedded
 

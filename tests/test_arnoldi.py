@@ -103,6 +103,13 @@ def test_adaptive_build_rejects_m_max_below_one(m_max):
         arnoldi.build_adaptive(prob, prob.y0, prob.f(prob.y0), 0.1, 0.5, 1e-6, m_max)
 
 
+@pytest.mark.parametrize("m", [0, -2])
+def test_fixed_build_rejects_m_below_one(m):
+    prob = make_random_nonlinear(4, np.random.default_rng(12))
+    with pytest.raises(ValueError, match="basis size must be >= 1"):
+        arnoldi.build_fixed(prob, prob.y0, prob.f(prob.y0), m)
+
+
 def test_adaptive_basis_meets_residual_tolerance():
     rng = np.random.default_rng(13)
     for _ in range(10):
@@ -387,6 +394,15 @@ def test_kernel_matches_mgs_oracle_in_krylov_regime():
     assert np.max(np.abs(basis.h - h_ref)) <= 1e-10 * np.max(np.abs(h_ref))
 
 
+def _orthogonalize(z, q, lo):
+    """The kernel's two passes on a copy of z, as advance (lo = i - 1) and
+    extend (lo = 0) run them: the remainder, the summed coefficients of
+    every subtraction, and the remainder norm."""
+    coeffs = np.zeros(q.shape[0])
+    rem, coeffs[lo:], remnorm = arnoldi._local_pass(z.copy(), q, lo)
+    return rem, coeffs, arnoldi._full_pass(rem, q, coeffs, remnorm)
+
+
 def test_kernel_extra_pass_restores_orthogonality_for_nonnormal_jacobian():
     # J = U T U^T with T unit lower bidiagonal plus one entry 1e8 at
     # (0, m-1): the Krylov basis from U e_0 is U's first columns (up to
@@ -402,7 +418,7 @@ def test_kernel_extra_pass_restores_orthogonality_for_nonnormal_jacobian():
     jac = u @ t @ u.T
     prob = make_linear(jac)
     q = arnoldi.build_fixed(prob, prob.y0, u[:, 0], m).v.T
-    rem, coeffs, remnorm = arnoldi._orthogonalize(jac @ q[-1], q, m - 2)
+    rem, coeffs, remnorm = _orthogonalize(jac @ q[-1], q, m - 2)
     assert remnorm == pytest.approx(1.0, rel=1e-6)
     assert abs(coeffs[0]) == pytest.approx(1e8, rel=1e-12)
     assert np.linalg.norm(q @ rem) <= 1e-14 * np.linalg.norm(rem)
@@ -509,7 +525,7 @@ def test_kernel_on_one_row_basis_is_one_projection():
     q0 = rng.standard_normal(n)
     q0 /= np.linalg.norm(q0)
     z = rng.standard_normal(n)
-    rem, coeffs, remnorm = arnoldi._orthogonalize(z, q0[None, :], 0)
+    rem, coeffs, remnorm = _orthogonalize(z, q0[None, :], 0)
     ref = z - (q0 @ z) * q0
     assert np.linalg.norm(rem - ref) <= 1e-15 * np.linalg.norm(ref)
     assert coeffs[0] == pytest.approx(q0 @ z, rel=1e-12)
@@ -539,7 +555,7 @@ def test_kernel_leaves_a_rounding_level_overlap_alone():
     z = _vector_with_overlap(q, lo, 0.25 * arnoldi.OVERLAP_REL_TOL, rng)
     c = np.dot(q[lo:], z)
     local = z - np.dot(c, q[lo:])
-    rem, coeffs, remnorm = arnoldi._orthogonalize(z, q, lo)
+    rem, coeffs, remnorm = _orthogonalize(z, q, lo)
     assert np.array_equal(rem, local)
     assert np.array_equal(coeffs[lo:], c)
     assert not np.any(coeffs[:lo])
@@ -551,7 +567,7 @@ def test_kernel_subtracts_an_overlap_above_rounding():
     lo = 10
     q = _orthonormal_rows(4096, 12, rng)
     z = _vector_with_overlap(q, lo, 1.5 * arnoldi.OVERLAP_REL_TOL, rng)
-    rem, coeffs, remnorm = arnoldi._orthogonalize(z, q, lo)
+    rem, coeffs, remnorm = _orthogonalize(z, q, lo)
     assert coeffs[0] == pytest.approx(1.5 * arnoldi.OVERLAP_REL_TOL * remnorm, rel=0.05)
     assert np.linalg.norm(q @ rem) <= 0.1 * arnoldi.OVERLAP_REL_TOL * remnorm
 

@@ -189,6 +189,15 @@ def test_unknown_strategy_rejected(tab):
     assert prob.n_rhs == 0  # IntegratorConfig.validate checks the strategy before any f
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_initial_state_rejected_before_any_f(tab, bad):
+    prob = make_dahlquist()
+    with pytest.raises(ValueError, match="initial state must be finite"):
+        control(prob, 0.0, 1.0, np.array([bad]), tab, IntegratorConfig(),
+                step=lambda y, f0, h: None)
+    assert prob.n_rhs == 0
+
+
 @pytest.mark.parametrize("strategy", [AdaptiveResidual(-1.0), AdaptiveResidual(math.nan),
                                       AdaptiveResidual(0.0), AdaptiveResidual(math.inf),
                                       FixedBasis(0)])

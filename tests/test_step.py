@@ -173,13 +173,10 @@ NON_FINITE = [np.array([np.nan, 1.0]), np.array([np.inf, 1.0]), np.array([-np.in
               np.array([np.inf, -np.inf])]
 
 
-# The checks sum first, and numpy warns when that sum overflows or meets
-# infinities of both signs.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf", "inf,-inf"])
 def test_every_finiteness_check_rejects_each_non_finite_value(bad):
-    # The checks sum first and look at the entries only when the sum is not
-    # finite; a NaN, an infinity and infinities of both signs must all fail.
+    # A NaN, an infinity and infinities of both signs must all fail, in a
+    # Jv, in f(y), in a stage RHS and in a step result from finite stages.
     prob = OdeProblem(dim=2, rhs=lambda y: bad, linearize=lambda y: lambda v: bad)
     with pytest.raises(JvpFailureError):
         prob.jv(prob.linearize(np.ones(2)), np.ones(2))
@@ -188,17 +185,36 @@ def test_every_finiteness_check_rejects_each_non_finite_value(bad):
     with pytest.raises(NonFiniteError):
         step.run_stages(prob, np.ones(2), default_tableau(), np.ones(2),
                         lambda i, f_i: None, lambda w: np.zeros(2))
+    tab = default_tableau()
+    finite = OdeProblem(dim=2, rhs=lambda y: np.ones(2), linearize=lambda y: lambda v: v)
+    with pytest.raises(NonFiniteError, match="step produced a non-finite state"):
+        step.run_stages(finite, np.ones(2), tab, np.ones(2), lambda i, f_i: None,
+                        lambda w: bad.copy() if len(w) == tab.s else np.zeros(2))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_a_finite_vector_whose_sum_overflows_passes_every_finiteness_check():
     huge = np.full(4, 1e308)
-    assert not np.isfinite(huge.sum())
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(huge.sum())
     prob = OdeProblem(dim=4, rhs=lambda y: huge, linearize=lambda y: lambda v: huge)
     assert np.array_equal(prob.jv(prob.linearize(np.ones(4)), np.ones(4)), huge)
-    assert _start_vector(prob, np.ones(4), 0.0) is not None
+    with np.errstate(over="ignore"):  # the at-rest test's ||f(y)|| overflows to inf
+        assert _start_vector(prob, np.ones(4), 0.0) is not None
     y_new, y_embedded = step.run_stages(prob, np.zeros(4), default_tableau(), huge,
                                         lambda i, f_i: None, lambda w: huge.copy())
+    assert np.array_equal(y_new, huge) and np.array_equal(y_embedded, huge)
+
+
+def test_the_finiteness_checks_raise_no_floating_point_error():
+    # The checks test each entry and compute nothing that can overflow, so
+    # a finite vector passes also where numpy raises on every error.
+    huge = np.full(4, 1e308)
+    prob = OdeProblem(dim=4, rhs=lambda y: huge, linearize=lambda y: lambda v: huge)
+    with np.errstate(all="raise"):
+        jv = prob.jv(prob.linearize(np.ones(4)), np.ones(4))
+        y_new, y_embedded = step.run_stages(prob, np.zeros(4), default_tableau(), huge,
+                                            lambda i, f_i: None, lambda w: huge.copy())
+    assert np.array_equal(jv, huge)
     assert np.array_equal(y_new, huge) and np.array_equal(y_embedded, huge)
 
 

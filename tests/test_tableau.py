@@ -1,6 +1,7 @@
 """Tableau parsing, validation, and properties of the packaged method."""
 
 import re
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -145,6 +146,18 @@ def test_validate_rejects_nonlower_alpha():
     )
     with pytest.raises(TableauError):
         bad.validate()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda tab: replace(tab, alpha=tab.alpha[1:, 1:]), "alpha must be 4x4"),
+    (lambda tab: replace(tab, b_hat=tab.b_hat[1:]), "b and b_hat must have one weight per stage"),
+    (lambda tab: parse_tableau(MINIMAL.replace("order 2", "order 0")), "orders must be positive"),
+    (lambda tab: replace(tab, gamma_lower=np.where(tab.gamma_lower, np.inf, 0.0)),
+     "gamma_lower contains non-finite entries"),
+])
+def test_each_broken_invariant_is_named(make, message):
+    with pytest.raises(TableauError, match=message):
+        make(default_tableau()).validate()
 
 
 @pytest.mark.parametrize("record", ["s 2", "order 3", "embedded_order 1", "gamma 1/3",
