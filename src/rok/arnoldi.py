@@ -95,6 +95,11 @@ BREAKDOWN_REL_TOL = 1e-12
 
 EPS = float(np.finfo(float).eps)
 
+#: start_norm takes sqrt(f . f) as it is when the sum of squares is finite
+#: and at least this: the squares that underflow then lose at most
+#: n * tiny, which is n * eps of the sum, the rounding bound of the sum.
+SUMSQ_MIN = float(np.finfo(float).tiny) / EPS
+
 #: A full Gram-Schmidt pass subtracts its measured overlap c = Q z only
 #: when ||c|| > OVERLAP_REL_TOL * ||z||; below that the subtraction would
 #: move z by rounding alone.
@@ -199,6 +204,23 @@ class KrylovBasis:
 def _norm(x: np.ndarray) -> float:
     """The 2-norm of a 1-D float array, as np.linalg.norm computes it."""
     return math.sqrt(np.dot(x, x))
+
+
+def start_norm(f: np.ndarray) -> float:
+    """||f||_2 of a start vector without overflow or underflow.
+
+    Exactly math.sqrt(np.dot(f, f)) when that sum of squares is finite and
+    at least SUMSQ_MIN; otherwise the norm of f / max|f|, times max|f|,
+    which costs one more pass over f.
+    """
+    with np.errstate(over="ignore"):
+        sumsq = np.dot(f, f)
+    if SUMSQ_MIN <= sumsq < math.inf:
+        return math.sqrt(sumsq)
+    scale = float(np.abs(f).max())
+    if not 0.0 < scale < math.inf:  # f = 0, or not finite
+        return scale
+    return scale * _norm(f / scale)
 
 
 def _local_pass(z: np.ndarray, q: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -337,7 +359,7 @@ class _ArnoldiState:
         self.problem = problem
         self.y = y
         self.m_max = m_max
-        beta = _norm(f)
+        beta = start_norm(f)
         if beta <= ZERO_START_THRESHOLD:
             raise ZeroStartVectorError("start vector norm below threshold")
         self.beta = beta
@@ -350,8 +372,8 @@ class _ArnoldiState:
         self.broke_down = False
         self.m = 0
 
-    def advance(self) -> bool:
-        """Add one Krylov vector; returns False on happy breakdown."""
+    def advance(self) -> None:
+        """Add one Krylov vector; sets broke_down on happy breakdown."""
         i = self.m
         self.rows = self.rows.claim(i, self.m_max + EXTEND_SPARE_ROWS)
         q = self.rows.q
@@ -372,7 +394,6 @@ class _ArnoldiState:
         # ||J q_i||, by Pythagoras from the coefficients and the remainder
         jq_norm = math.hypot(_norm(coeffs[lo:]), hnorm)
         self.broke_down = hnorm <= BREAKDOWN_REL_TOL * jq_norm
-        return not self.broke_down
 
     def reach(self, size: int) -> bool:
         """Advance until the factorization has size vectors; False when a
@@ -396,7 +417,6 @@ class _ArnoldiState:
             v_next=v_next,
             beta=self.beta,
             core_size=size,
-            ext_count=0,
             hit_cap=hit_cap,
             state=self,
             rows=self.rows,

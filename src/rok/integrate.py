@@ -124,31 +124,12 @@ def _error_norm(y_new, y_embedded, rtol, atol):
     return math.sqrt(np.mean(w))
 
 
-def _build_basis(problem, y, f, h, tableau, config, previous=None):
-    """The basis for a step of size h from y, where f = f(y), for the
-    checked strategy of config; AdaptiveResidual() tests against rtol.
-
-    previous is the basis of the rejected last attempt from this y: a fixed
-    basis is returned as it is, and an adaptive one reruns only its
-    stopping test at the new h.
-    """
-    strategy = config.basis_strategy
-    if isinstance(strategy, FixedBasis):
-        if previous is not None:
-            return previous
-        return arnoldi.build_fixed(problem, y, f, strategy.m)
-    resid_tol = config.rtol if strategy.resid_tol is None else strategy.resid_tol
-    return arnoldi.build_adaptive(
-        problem, y, f, h, tableau.gamma, resid_tol, config.m_max, previous=previous
-    )
-
-
 def _start_vector(problem, y, t):
     """f(y), or None when y is at rest (f(y) = 0 to arnoldi.ZERO_START_THRESHOLD)."""
     f0 = problem.f(y)
     if not np.isfinite(f0).all():
         raise NonFiniteError(f"right-hand side f(y) is not finite at t={t:.6g}")
-    return f0 if np.linalg.norm(f0) > arnoldi.ZERO_START_THRESHOLD else None
+    return f0 if arnoldi.start_norm(f0) > arnoldi.ZERO_START_THRESHOLD else None
 
 
 def control(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
@@ -171,7 +152,7 @@ def control(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
     if tf <= t0:
         raise ValueError("tf must exceed t0")
     y = np.asarray(y0, dtype=float).copy()
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("initial state must be finite")
 
     stats = RunStats()
@@ -240,16 +221,27 @@ def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
     step above the time resolution of control (the stability-bound
     failure mode of too small a fixed basis on stiff problems), and
     NonFiniteError when f is not finite at the start of a step.
-    The step keeps its basis for every attempt from the state it was
-    built at (basis.state.y is y), as build_adaptive's previous requires.
+    config.basis_strategy is read once per run; AdaptiveResidual() tests
+    against config.rtol.  The step keeps its basis for every attempt from
+    the state it was built at (basis.state.y is y): a fixed basis is built
+    once per state, and an adaptive one is passed back to build_adaptive
+    as previous, which reruns only the stopping test at the new h.
     """
+    strategy = config.basis_strategy
+    resid_tol = None  # FixedBasis; control's config.validate() rejects an unknown strategy
+    if isinstance(strategy, AdaptiveResidual):
+        resid_tol = config.rtol if strategy.resid_tol is None else strategy.resid_tol
     basis = None  # kept across rejections: K(J(y), f(y)) does not depend on h
 
     def krylov_step(y, f0, h):
         nonlocal basis
         if basis is not None and basis.state.y is not y:
             basis = None  # free the last state's basis before allocating the next
-        basis = _build_basis(problem, y, f0, h, tableau, config, previous=basis)
+        if resid_tol is not None:
+            basis = arnoldi.build_adaptive(problem, y, f0, h, tableau.gamma, resid_tol,
+                                           config.m_max, previous=basis)
+        elif basis is None:
+            basis = arnoldi.build_fixed(problem, y, f0, strategy.m)
         return rok_step(problem, y, h, tableau, basis, extend=config.extend_with_stage_rhs)
 
     return control(problem, t0, tf, y0, tableau, config, krylov_step)
@@ -266,11 +258,10 @@ def integrate_fixed(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tabl
         raise ValueError(f"integrate_fixed needs n_steps >= 1, got {n_steps}")
     y = np.asarray(y0, dtype=float).copy()
     h = (tf - t0) / n_steps
-    m_eff = problem.dim if m is None else min(m, problem.dim)
     for k in range(n_steps):
         f0 = _start_vector(problem, y, t0 + k * h)
         if f0 is None:
             break
-        basis = arnoldi.build_fixed(problem, y, f0, m_eff)
+        basis = arnoldi.build_fixed(problem, y, f0, problem.dim if m is None else m)
         y = rok_step(problem, y, h, tableau, basis).y_new
     return y

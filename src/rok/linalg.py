@@ -3,12 +3,13 @@
 The stage systems of the integrator have the form (I - hg*H) x = rhs with H
 a small upper-Hessenberg matrix.  This module provides an LU factorization
 kept in LAPACK getrf's packed form (one array and the pivot indices), solves
-by laswp and two trtrs calls on it, an O(M^2) bordered column-append update
-of the same packed form used when the Krylov basis grows mid-step, and a
-spectral-radius helper for the stability diagnostics.  The Krylov step
-factors its reduced system once per attempt with lu_factor.  The adaptive
-stopping test needs no factor, only one scalar per basis size, which the
-progressive elimination (ProgressiveLU) gives.
+by laswp and two trtrs calls on it, an O(M^2) bordered update of the same
+packed form to the grown H that one appended basis vector gives
+(lu_append_column), and a spectral-radius helper for the stability
+diagnostics.  The Krylov step factors its reduced system once per attempt
+with lu_factor and grows that factor with each stage vector it appends.
+The adaptive stopping test needs no factor, only one scalar per basis
+size, which the progressive elimination (ProgressiveLU) gives.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ class HessenbergFactorization:
     0-based row interchanges: row k was swapped with row piv[k], in order
     k = 0, 1, ...  hg is the scalar product (step size times diagonal
     gamma) frozen at factorization time; scale is the max-abs of I - hg*H
-    used for the pivot threshold of subsequent column appends.
+    (of the grown matrix after a column append), the scale of the pivot
+    threshold.
     """
 
     lu: np.ndarray
@@ -97,40 +99,38 @@ def lu_solve(fac: HessenbergFactorization, rhs: np.ndarray) -> np.ndarray:
     return lapack.dtrtrs(fac.lu.T, _forward(fac.lu, fac.piv, rhs), lower=1, trans=1)[0]
 
 
-def lu_append_column(
-    fac: HessenbergFactorization,
-    new_column_top: np.ndarray,
-    h_diag_new: float,
-    new_row_left: np.ndarray,
-) -> HessenbergFactorization:
-    """Grow the factorization by one basis vector without refactoring.
+def lu_append_column(fac: HessenbergFactorization, grown: np.ndarray) -> HessenbergFactorization:
+    """Grow the factorization of I - hg*H to the bordered matrix
+    I - hg*grown without refactoring.
 
-    new_column_top holds h_{1..M,M+1} of the grown matrix, h_diag_new is
-    h_{M+1,M+1}, and new_row_left holds h_{M+1,1..M} (zero under the core
-    Arnoldi block of an extended basis, nonzero under appended columns).
-    The bordered update with the existing permutation kept frozen is
+    grown is the (M+1) x (M+1) matrix whose leading M x M block is the
+    factored H: the H that arnoldi.extend returns after appending one
+    vector.  Its new row is zero under the core Arnoldi block of an
+    extended basis and nonzero under appended columns.  The bordered
+    update with the existing permutation kept frozen is
 
         u_{1..M,M+1} = -hg * L^{-1} P h_{1..M,M+1},
         l_{M+1,1..M}^T = (-hg * h_{M+1,1..M})^T U^{-1},
         u_{M+1,M+1}  = (1 - hg * h_{M+1,M+1}) - l_{M+1,1..M} . u_{1..M,M+1}.
 
     The only new pivot is the bottom diagonal entry, and the new row is
-    not interchanged (piv gains the entry M).  Raises SingularMatrixError
-    when that pivot is below the threshold, in which case the caller
-    should refactorize fully.
+    not interchanged (piv gains the entry M).  scale becomes the max-abs
+    of I - hg*grown, as lu_factor defines it.  Raises
+    DimensionMismatchError unless grown is (M+1) x (M+1), and
+    SingularMatrixError when the new pivot is below the threshold of that
+    scale, in which case the caller should refactorize fully.
     """
-    new_column_top = np.asarray(new_column_top, dtype=float)
-    new_row_left = np.asarray(new_row_left, dtype=float)
+    grown = np.asarray(grown, dtype=float)
     m = fac.size
-    if new_column_top.shape != (m,):
-        raise DimensionMismatchError(f"column has shape {new_column_top.shape}, expected ({m},)")
-    if new_row_left.shape != (m,):
-        raise DimensionMismatchError(f"row has shape {new_row_left.shape}, expected ({m},)")
-    a_col = -fac.hg * new_column_top
+    if grown.shape != (m + 1, m + 1):
+        raise DimensionMismatchError(f"grown H has shape {grown.shape}, expected ({m + 1}, {m + 1})")
+    a_col = -fac.hg * grown[:m, m]
+    a_row = -fac.hg * grown[m, :m]
+    corner = 1.0 - fac.hg * grown[m, m]
     u_col = _forward(fac.lu, fac.piv, a_col)
-    l_row = lapack.dtrtrs(fac.lu.T, -fac.hg * new_row_left, lower=1)[0]
-    diag = (1.0 - fac.hg * h_diag_new) - float(l_row @ u_col)
-    scale = max(fac.scale, float(np.max(np.abs(a_col))), abs(diag))
+    l_row = lapack.dtrtrs(fac.lu.T, a_row, lower=1)[0]
+    diag = corner - float(l_row @ u_col)
+    scale = max(fac.scale, float(np.abs(a_col).max()), float(np.abs(a_row).max()), abs(corner))
     if abs(diag) <= _pivot_threshold(scale):
         raise SingularMatrixError(f"appended pivot {diag:.3e} below threshold")
 

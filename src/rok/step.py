@@ -144,8 +144,9 @@ def rok_step(
     The basis must be one build_fixed or build_adaptive returned for f(y),
     with no appended vectors; stage 1 reuses its start vector instead of
     re-evaluating the RHS.  The reduced system I - h*gamma*H is factored
-    once (linalg.lu_factor), and again only where a stage vector's
-    column append finds a singular pivot.
+    once (linalg.lu_factor); each appended stage vector grows the factor
+    to the bordered H that extend returns (linalg.lu_append_column), and
+    the grown H is factored afresh only where that finds a singular pivot.
     The step's stats are read from the final basis (its size, appended
     vectors and hit-cap flag) and from lambda_1 (the first-stage residual).
     Raises SingularMatrixError if the reduced system cannot be factored
@@ -168,11 +169,9 @@ def rok_step(
             grown = arnoldi.extend(basis, f_i)
             if grown.size > basis.size:
                 try:
-                    fac = linalg.lu_append_column(
-                        fac, grown.h[:-1, -1], grown.h[-1, -1], grown.h[-1, :-1]
-                    )
+                    fac = linalg.lu_append_column(fac, grown.h)
                 except SingularMatrixError:
-                    fac = linalg.lu_factor(grown.h, h * tab.gamma)
+                    fac = linalg.lu_factor(grown.h, fac.hg)
                     refactorized = True
                 basis = grown
 

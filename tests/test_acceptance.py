@@ -127,7 +127,7 @@ def test_criterion_4_lu_update_oracle():
         fac = linalg.lu_factor(big[:m0, :m0], hg)
         for k in range(n_app):
             sz = m0 + k
-            fac = linalg.lu_append_column(fac, big[:sz, sz], big[sz, sz], big[sz, :sz])
+            fac = linalg.lu_append_column(fac, big[: sz + 1, : sz + 1])
         rhs = rng.standard_normal(total)
         x_inc = linalg.lu_solve(fac, rhs)
         x_fresh = linalg.lu_solve(linalg.lu_factor(big, hg), rhs)

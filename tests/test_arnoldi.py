@@ -1,5 +1,7 @@
 """Krylov basis construction: invariants, adaptivity, and extension."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,19 @@ def test_zero_start_vector_raises():
     prob = make_random_nonlinear(4, rng)
     with pytest.raises(ZeroStartVectorError):
         arnoldi.build_fixed(prob, prob.y0, np.zeros(4), 3)
+
+
+def test_start_norm_neither_overflows_nor_underflows():
+    # Where f . f is a normal float, start_norm is sqrt(f . f) exactly; out
+    # of that range it scales by max|f| (powers of two keep g exact here).
+    f = np.random.default_rng(13).standard_normal(50)
+    ref = math.sqrt(np.dot(f, f))
+    assert arnoldi.start_norm(f) == ref
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for k in (515, 1000, -565, -1000):
+            g = f * 2.0**k
+            assert arnoldi.start_norm(g) == pytest.approx(ref * 2.0**k, rel=1e-14)
+        assert arnoldi.start_norm(np.zeros(3)) == 0.0
 
 
 @pytest.mark.parametrize("m_max", [0, -2])
@@ -713,6 +728,32 @@ def test_an_extended_step_appends_in_the_arnoldi_storage(m_max):
     retried = step.rok_step(prob, y, 5e-3, tab, again, extend=True)
     assert not np.shares_memory(retried.internals.basis.v, again.v)
     assert np.array_equal(res.internals.basis.v, saved)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "_Rows.claim still counts the rows a dropped extended attempt claimed, "
+    "so a retried +ext step copies its basis"))
+def test_a_retried_extension_appends_in_place():
+    # At h = 1e-3 the adaptive basis of Allen-Cahn 16^2 holds its whole
+    # Arnoldi process (7 vectors).  An attempt appends two vectors in place
+    # and is dropped; the retry rebuilds from the same process at the same
+    # h and appends again, into rows no live basis views.
+    prob = make_allen_cahn(AllenCahnSpec(16, 16, alpha=1.0))
+    y = prob.y0
+    f = prob.f(y)
+    gamma = default_tableau().gamma
+    rng = np.random.default_rng(24)
+    basis = arnoldi.build_adaptive(prob, y, f, 1e-3, gamma, 1e-6, 48)
+    assert basis.size == basis.state.m == 7
+    once = arnoldi.extend(basis, rng.standard_normal(prob.dim))
+    twice = arnoldi.extend(once, rng.standard_normal(prob.dim))
+    assert twice.size == 9 and twice.rows is once.rows is basis.rows
+    del once, twice
+    again = arnoldi.build_adaptive(prob, y, f, 1e-3, gamma, 1e-6, 48, previous=basis)
+    del basis
+    grown = arnoldi.extend(again, rng.standard_normal(prob.dim))
+    assert grown.size == 8
+    assert grown.rows is again.rows
 
 
 def test_adaptive_reuse_rejects_a_basis_of_another_state():

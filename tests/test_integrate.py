@@ -165,6 +165,27 @@ def test_fixed_basis_run_does_not_depend_on_the_scale_of_y(tab):
     assert np.max(np.abs(large.y / 1e12 - small.y)) <= 1e-9 * np.max(np.abs(small.y))
 
 
+@pytest.mark.parametrize("strategy", [FixedBasis(2), AdaptiveResidual()])
+@pytest.mark.parametrize("scale", [1e155, 1e-170])
+def test_a_start_vector_whose_squares_leave_the_float_range_integrates(tab, strategy, scale):
+    # y' = scale in every entry, with J = -I.  ||f|| is 2 * scale, but f . f
+    # overflows at 1e155 (an infinite start norm made a zero basis, and the
+    # run failed at t = 0) and underflows to 0 at 1e-170 (the run called y0
+    # at rest and ended with y unchanged).  With atol scaled along, the run
+    # is the one at scale 1, and no floating-point exception is raised.
+    sols = []
+    for value in (1.0, scale):
+        prob = OdeProblem(4, rhs=lambda y, c=value: np.full(4, c), linearize=lambda y: lambda v: -v)
+        cfg = IntegratorConfig(rtol=1e-6, atol=1e-6 * value, basis_strategy=strategy)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sols.append(integrate(prob, 0.0, 1.0, np.zeros(4), tab, cfg))
+    unit, scaled = sols
+    assert scaled.t == 1.0
+    assert (scaled.stats.accepted, scaled.stats.rejected) == (unit.stats.accepted, unit.stats.rejected)
+    assert unit.stats.accepted > 1
+    assert np.max(np.abs(scaled.y / scale - unit.y)) <= 1e-9 * np.max(np.abs(unit.y))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(rtol=-1.0).validate()

@@ -83,10 +83,10 @@ def test_append_column_zero_row_matches_fresh_factorization():
         m = int(rng.integers(2, 9))
         hg = float(rng.uniform(0.01, 0.3))
         big = random_hessenberg(m + 1, rng)
+        big[m, :m] = 0.0
         fac = linalg.lu_factor(big[:m, :m], hg)
-        grown = linalg.lu_append_column(fac, big[:m, m], big[m, m], np.zeros(m))
+        grown = linalg.lu_append_column(fac, big)
         target = big.copy()
-        target[m, :m] = 0.0
         rhs = rng.standard_normal(m + 1)
         x = linalg.lu_solve(grown, rhs)
         x_ref = np.linalg.solve(np.eye(m + 1) - hg * target, rhs)
@@ -101,7 +101,7 @@ def test_append_column_with_row_matches_fresh_factorization():
         big = random_hessenberg(m + 1, rng)
         big[m, : m] = rng.standard_normal(m)
         fac = linalg.lu_factor(big[:m, :m], hg)
-        grown = linalg.lu_append_column(fac, big[:m, m], big[m, m], big[m, :m])
+        grown = linalg.lu_append_column(fac, big)
         rhs = rng.standard_normal(m + 1)
         x = linalg.lu_solve(grown, rhs)
         x_ref = np.linalg.solve(np.eye(m + 1) - hg * big, rhs)
@@ -111,15 +111,29 @@ def test_append_column_with_row_matches_fresh_factorization():
 def test_append_column_rejects_tiny_pivot():
     fac = linalg.lu_factor(np.array([[0.5]]), 0.1)
     with pytest.raises(SingularMatrixError):
-        linalg.lu_append_column(fac, np.array([0.3]), 10.0, np.zeros(1))  # 1 - 0.1*10 = 0
+        linalg.lu_append_column(fac, np.array([[0.5, 0.3], [0.0, 10.0]]))  # 1 - 0.1*10 = 0
 
 
 def test_append_column_shape_checks():
+    # The grown matrix is (M+1) x (M+1) for a factor of size M.
     fac = linalg.lu_factor(np.array([[0.5]]), 0.1)
-    with pytest.raises(DimensionMismatchError):
-        linalg.lu_append_column(fac, np.zeros(2), 0.0, np.zeros(1))
-    with pytest.raises(DimensionMismatchError):
-        linalg.lu_append_column(fac, np.zeros(1), 0.0, np.zeros(3))
+    for shape in [(3, 3), (2, 3), (3, 2), (1, 1), (4,)]:
+        with pytest.raises(DimensionMismatchError):
+            linalg.lu_append_column(fac, np.zeros(shape))
+
+
+def test_append_and_factor_share_the_pivot_rule():
+    # Both test the new pivot against the max-abs of the whole grown
+    # I - hg*H.  On I - H = [[1, 0], [1e20, 1e5]] getrf swaps the rows and
+    # finds the pivot -1e-15; the append keeps the order and finds 1e5,
+    # still below 1e-14 times the scale 1e20 of the new row.
+    a = np.array([[1.0, 0.0], [1e20, 1e5]])
+    h = np.eye(2) - a
+    with pytest.raises(SingularMatrixError):
+        linalg.lu_factor(h, 1.0)
+    fac = linalg.lu_factor(h[:1, :1], 1.0)
+    with pytest.raises(SingularMatrixError):
+        linalg.lu_append_column(fac, h)
 
 
 def test_lu_solve_shape_check():
