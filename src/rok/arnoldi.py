@@ -6,6 +6,13 @@ projected Jacobian H = V^T J V together with the overflow pair
 
     J V = V H + h_{M+1,M} v_{M+1} e_M^T.
 
+The process starts from v_1 = f / beta with beta = start_norm(f), the one
+norm of f it takes; f = 0 spans no Krylov space and raises
+ZeroStartVectorError.  One rule says when a vector adds nothing: a
+remainder after orthogonalization of at most IN_SPAN_REL_TOL of the
+vector's norm means the vector lies in the span.  For J q_M that is a
+happy breakdown, which ends the process; an appended vector is dropped.
+
 The basis vectors are the rows of one preallocated C-contiguous array, so
 one sweep of the basis is one matrix-vector product: c = Q z measures the
 overlap of a new vector z with every row, and z -= c^T Q subtracts it.
@@ -87,11 +94,11 @@ import numpy as np
 from . import linalg
 from .errors import ZeroStartVectorError
 
-#: ||f|| at or below this is treated as an equilibrium (zero start vector).
-ZERO_START_THRESHOLD = 1e-300
-
-#: h_{i+1,i} <= BREAKDOWN_REL_TOL * ||J q_i|| declares happy breakdown.
-BREAKDOWN_REL_TOL = 1e-12
+#: A vector whose remainder after orthogonalization is at most this
+#: fraction of its norm lies in the span: h_{i+1,i} <= IN_SPAN_REL_TOL *
+#: ||J q_i|| is a happy breakdown of the process, and an appended w with
+#: remainder <= IN_SPAN_REL_TOL * ||w|| leaves the basis unchanged.
+IN_SPAN_REL_TOL = 1e-12
 
 EPS = float(np.finfo(float).eps)
 
@@ -113,9 +120,6 @@ SEMI_ORTHOGONALITY_TOL = math.sqrt(EPS)
 #: A declared-symmetric J must give q_{i-1}^T J q_i = q_i^T J q_{i-1} to
 #: within this times ||T||, or the Lanczos process raises.
 SYMMETRY_REL_TOL = math.sqrt(EPS)
-
-#: Remainder norm <= DROP_REL_TOL * ||w|| makes extend() a no-op.
-DROP_REL_TOL = 1e-12
 
 #: Rows for appends after a basis's last vector: an Arnoldi process claims
 #: at most m_max of its m_max + EXTEND_SPARE_ROWS rows, and extend() gives
@@ -344,7 +348,10 @@ class _ArnoldiState:
     Holds m_max + EXTEND_SPARE_ROWS basis rows and the (m_max + 1, m_max)
     Hessenberg matrix; after m steps, rows 0..m-1 and h[:m+1, :m] are
     final, and v_{m+1} is pending as the remainder z and its norm, which
-    advance divides into row m (at m = 0, z is f and its norm beta).
+    advance divides into row m (at m = 0, z is f and its norm beta =
+    start_norm(f), which raises ZeroStartVectorError only for f = 0).
+    advance sets broke_down when the remainder of J q_m lies in the span
+    (IN_SPAN_REL_TOL).
     lin is problem.linearize(y), taken once: every product of this
     process, and of every extend of its bases, goes through problem.jv
     with it.  For a declared-symmetric J, overlaps is the process's
@@ -360,8 +367,8 @@ class _ArnoldiState:
         self.y = y
         self.m_max = m_max
         beta = start_norm(f)
-        if beta <= ZERO_START_THRESHOLD:
-            raise ZeroStartVectorError("start vector norm below threshold")
+        if beta == 0.0:
+            raise ZeroStartVectorError("the start vector f is zero")
         self.beta = beta
         self.lin = problem.linearize(y)
         self.rows = _Rows(m_max + EXTEND_SPARE_ROWS, f.shape[0])
@@ -393,7 +400,7 @@ class _ArnoldiState:
         self.z, self.znorm = zeta, hnorm
         # ||J q_i||, by Pythagoras from the coefficients and the remainder
         jq_norm = math.hypot(_norm(coeffs[lo:]), hnorm)
-        self.broke_down = hnorm <= BREAKDOWN_REL_TOL * jq_norm
+        self.broke_down = hnorm <= IN_SPAN_REL_TOL * jq_norm
 
     def reach(self, size: int) -> bool:
         """Advance until the factorization has size vectors; False when a
@@ -483,15 +490,16 @@ def build_adaptive(
 def extend(basis: KrylovBasis, w: np.ndarray) -> KrylovBasis:
     """Append the component of w orthogonal to span(V).
 
-    Returns the basis unchanged when w is already in the span (remainder
-    below the drop threshold).  Otherwise the normalized remainder v_bar
-    becomes a new column and H grows by one row and column: the column is
-    V^T (J v_bar), the row is zero under the core Arnoldi block but picks
-    up v_bar^T (J v_bar_k) under every previously appended column, which
-    is what keeps the extended Arnoldi relation exact.  (The resulting H
-    differs from V^T J V in the last core column by h_{M+1,M} times the
-    overlap of appended vectors with v_{M+1}; the extended relation, not
-    the projection identity, is the property the residual theory needs.)
+    Returns the basis unchanged when w is already in the span: its
+    remainder is at most IN_SPAN_REL_TOL * ||w|| (w = 0 included).
+    Otherwise the normalized remainder v_bar becomes a new column and H
+    grows by one row and column: the column is V^T (J v_bar), the row is
+    zero under the core Arnoldi block but picks up v_bar^T (J v_bar_k)
+    under every previously appended column, which is what keeps the
+    extended Arnoldi relation exact.  (The resulting H differs from
+    V^T J V in the last core column by h_{M+1,M} times the overlap of
+    appended vectors with v_{M+1}; the extended relation, not the
+    projection identity, is the property the residual theory needs.)
     The J-products of appended vectors are retained so later appends can
     fill in their rows.  They go through the problem's jv with the
     linearization of the basis's Arnoldi process (basis.state).  v_bar is
@@ -505,7 +513,7 @@ def extend(basis: KrylovBasis, w: np.ndarray) -> KrylovBasis:
     m = basis.size
     rem, coeffs, remnorm = _local_pass(rem, basis.v.T, 0)
     remnorm = _full_pass(rem, basis.v.T, coeffs, remnorm)
-    if remnorm <= DROP_REL_TOL * wnorm:  # w = 0 included
+    if remnorm <= IN_SPAN_REL_TOL * wnorm:  # w = 0 included
         return basis
     vbar = rem / remnorm
     jvbar = basis.state.problem.jv(basis.state.lin, vbar)

@@ -6,7 +6,7 @@ class SingularMatrixError(Exception):
 
 
 class ZeroStartVectorError(Exception):
-    """The Arnoldi start vector has (numerically) zero norm."""
+    """The Arnoldi start vector is zero."""
 
 
 class JvpFailureError(Exception):

@@ -118,18 +118,22 @@ class Solution:
 
 
 def _error_norm(y_new, y_embedded, rtol, atol):
-    w = y_new - y_embedded
-    w /= atol + rtol * np.abs(y_new)
-    w *= w
-    return math.sqrt(np.mean(w))
+    """Weighted RMS of y_new - y_embedded; inf when the weighted difference
+    or its square overflows, which control treats as a non-finite step."""
+    with np.errstate(over="ignore"):
+        w = y_new - y_embedded
+        w /= atol + rtol * np.abs(y_new)
+        w *= w
+        return math.sqrt(np.mean(w))
 
 
 def _start_vector(problem, y, t):
-    """f(y), or None when y is at rest (f(y) = 0 to arnoldi.ZERO_START_THRESHOLD)."""
+    """f(y), or None when y is at rest: f(y) has no nonzero entry.  Takes
+    no norm of f(y); the Arnoldi process takes the one it needs."""
     f0 = problem.f(y)
     if not np.isfinite(f0).all():
         raise NonFiniteError(f"right-hand side f(y) is not finite at t={t:.6g}")
-    return f0 if arnoldi.start_norm(f0) > arnoldi.ZERO_START_THRESHOLD else None
+    return f0 if f0.any() else None
 
 
 def control(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
@@ -140,13 +144,13 @@ def control(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
     returns a StepResult.  Every attempt from one state gets the same y
     object and f0, and an accepted step's y_new is the next state, so a
     step method may keep work for a retry by the identity of y.  f(y) is
-    evaluated once per state; a state at rest (f(y) = 0) stays there, so
-    it ends the run at tf as one accepted step.
-    A step raising NonFiniteError or SingularMatrixError counts as a
-    rejection that halves h.  The loop's time resolution is
-    1e-14 * max(1, |tf|): it stops within that of tf, and raises
-    StepSizeUnderflowError when h falls below it while a step is still
-    needed.  Raises NonFiniteError when f(y) is not finite.
+    evaluated once per state; a state at rest (f(y) has no nonzero entry)
+    stays there, so it ends the run at tf as one accepted step.
+    A step raising NonFiniteError or SingularMatrixError, or one whose
+    error estimate overflows, counts as a rejection that halves h.  The
+    loop's time resolution is 1e-14 * max(1, |tf|): it stops within that
+    of tf, and raises StepSizeUnderflowError when h falls below it while a
+    step is still needed.  Raises NonFiniteError when f(y) is not finite.
     """
     config.validate()
     if tf <= t0:
@@ -215,8 +219,9 @@ def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
               config: IntegratorConfig) -> Solution:
     """Integrate the autonomous system from t0 to tf.
 
-    A state at rest (f(y) = 0) ends the run.  config is checked before
-    the first f evaluation (IntegratorConfig.validate, check_strategy).
+    A state at rest (f(y) has no nonzero entry) ends the run.  config is
+    checked before the first f evaluation (IntegratorConfig.validate,
+    check_strategy).
     Raises StepSizeUnderflowError when the controller cannot find an acceptable
     step above the time resolution of control (the stability-bound
     failure mode of too small a fixed basis on stiff problems), and
@@ -252,7 +257,8 @@ def integrate_fixed(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tabl
     """Fixed-step integration with a fixed basis size (full space if m is None).
 
     Used for order studies and reference cross-validation; no error control.
-    A state at rest (f(y) = 0) stays there, so it is returned at once.
+    A state at rest (f(y) has no nonzero entry) stays there, so it is
+    returned at once.
     """
     if n_steps < 1:
         raise ValueError(f"integrate_fixed needs n_steps >= 1, got {n_steps}")

@@ -98,6 +98,20 @@ def test_zero_start_vector_raises():
         arnoldi.build_fixed(prob, prob.y0, np.zeros(4), 3)
 
 
+def test_a_subnormal_start_vector_starts_a_basis():
+    # f = 1e-310 in every entry is subnormal but not zero, so it spans a
+    # Krylov space: beta is start_norm(f), the one norm taken of f, and v_1
+    # has unit norm.
+    prob = make_linear(np.diag([1.0, 2.0, 3.0, 4.0]))
+    f = np.full(4, 1e-310)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        basis = arnoldi.build_fixed(prob, prob.y0, f, 3)
+    assert basis.size == 3
+    assert basis.beta == arnoldi.start_norm(f) > 0.0
+    assert np.linalg.norm(basis.v[:, 0]) == pytest.approx(1.0, rel=1e-15)
+    assert np.max(np.abs(basis.v.T @ basis.v - np.eye(3))) <= 1e-12
+
+
 def test_start_norm_neither_overflows_nor_underflows():
     # Where f . f is a normal float, start_norm is sqrt(f . f) exactly; out
     # of that range it scales by max|f| (powers of two keep g exact here).

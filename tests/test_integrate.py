@@ -28,7 +28,7 @@ from rok.problems import (
     make_smooth_nonlinear,
 )
 from rok.reference import full_space_integrate, rk4_integrate
-from rok.step import direct_step
+from rok.step import StepResult, StepStats, direct_step
 
 from conftest import make_poisoned_problem, make_random_nonlinear
 
@@ -166,13 +166,16 @@ def test_fixed_basis_run_does_not_depend_on_the_scale_of_y(tab):
 
 
 @pytest.mark.parametrize("strategy", [FixedBasis(2), AdaptiveResidual()])
-@pytest.mark.parametrize("scale", [1e155, 1e-170])
+@pytest.mark.parametrize("scale", [1e155, 1e-170, 1e-301, 1e-303])
 def test_a_start_vector_whose_squares_leave_the_float_range_integrates(tab, strategy, scale):
     # y' = scale in every entry, with J = -I.  ||f|| is 2 * scale, but f . f
     # overflows at 1e155 (an infinite start norm made a zero basis, and the
     # run failed at t = 0) and underflows to 0 at 1e-170 (the run called y0
-    # at rest and ended with y unchanged).  With atol scaled along, the run
-    # is the one at scale 1, and no floating-point exception is raised.
+    # at rest and ended with y unchanged).  At 1e-301 and 1e-303 the norm is
+    # right but was below a 1e-300 "at rest" threshold, which also ended the
+    # run with y unchanged: at rest means f(y) = 0.  With atol scaled along,
+    # the run is the one at scale 1, and no floating-point exception is
+    # raised.
     sols = []
     for value in (1.0, scale):
         prob = OdeProblem(4, rhs=lambda y, c=value: np.full(4, c), linearize=lambda y: lambda v: -v)
@@ -184,6 +187,27 @@ def test_a_start_vector_whose_squares_leave_the_float_range_integrates(tab, stra
     assert (scaled.stats.accepted, scaled.stats.rejected) == (unit.stats.accepted, unit.stats.rejected)
     assert unit.stats.accepted > 1
     assert np.max(np.abs(scaled.y / scale - unit.y)) <= 1e-9 * np.max(np.abs(unit.y))
+
+
+def test_an_overflowing_error_estimate_is_a_rejection(tab):
+    # A finite step whose weighted difference y_new - y_embedded squares past
+    # the float range reads err = inf, a rejection that halves h, and raises
+    # no floating-point exception.
+    prob = make_linear([[-1.0]])
+    steps = []
+
+    def step(y, f0, h):
+        steps.append(h)
+        if len(steps) == 1:
+            return StepResult(np.zeros(1), np.array([1e300]), StepStats())
+        return direct_step(prob, y, f0, h, tab)
+
+    cfg = IntegratorConfig(rtol=1e-6, atol=1e-6, h_init=0.1)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        sol = control(prob, 0.0, 1.0, np.ones(1), tab, cfg, step)
+    assert steps[1] == steps[0] / 2 == 0.05
+    assert sol.t == 1.0 and sol.stats.rejected >= 1
+    assert sol.y[0] == pytest.approx(math.exp(-1.0), rel=1e-4)
 
 
 def test_config_validation():
@@ -386,9 +410,11 @@ def test_extension_adds_no_row_store_to_a_run(tab):
     # Arnoldi process, so an R=tol+ext run allocates about what an R=tol
     # run does: 1.03 times its peak here, and 1.74 times while every
     # extended step copied its basis.  h_init is the benchmark's, and
-    # neither run rejects a step.  A retried step still copies (see
+    # neither run rejects a step.  A retried step whose basis is smaller
+    # than its Arnoldi process copies by design, as the row after it holds
+    # a process vector (see
     # test_an_extended_step_appends_in_the_arnoldi_storage): from h_init
-    # 1e-3, three retries put the ratio at 1.30.
+    # 1e-3, three retries put the ratio at 1.26.
     prob = make_allen_cahn(AllenCahnSpec(64, 64, alpha=1.0))
     peaks = []
     for extend in (False, True):
