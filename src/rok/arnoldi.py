@@ -12,6 +12,8 @@ ZeroStartVectorError.  One rule says when a vector adds nothing: a
 remainder after orthogonalization of at most IN_SPAN_REL_TOL of the
 vector's norm means the vector lies in the span.  For J q_M that is a
 happy breakdown, which ends the process; an appended vector is dropped.
+extend measures an appended vector by start_norm too, so the rule holds
+at every scale the start vector handles.
 
 The basis vectors are the rows of one preallocated C-contiguous array, so
 one sweep of the basis is one matrix-vector product: c = Q z measures the
@@ -491,7 +493,11 @@ def extend(basis: KrylovBasis, w: np.ndarray) -> KrylovBasis:
     """Append the component of w orthogonal to span(V).
 
     Returns the basis unchanged when w is already in the span: its
-    remainder is at most IN_SPAN_REL_TOL * ||w|| (w = 0 included).
+    remainder is at most IN_SPAN_REL_TOL * ||w|| (w = 0 included).  ||w||
+    is start_norm(w), the build's rule, and the passes run on w scaled by
+    a power of two to a norm in [0.5, 1), so a w whose squares leave the
+    float range appends as it would at scale 1, and any other w rounds as
+    it would unscaled.
     Otherwise the normalized remainder v_bar becomes a new column and H
     grows by one row and column: the column is V^T (J v_bar), the row is
     zero under the core Arnoldi block but picks up v_bar^T (J v_bar_k)
@@ -508,8 +514,10 @@ def extend(basis: KrylovBasis, w: np.ndarray) -> KrylovBasis:
     w is not modified: a step's combinations read its stage RHS after
     the append.
     """
-    rem = np.array(w, dtype=float)  # a copy, which the two passes overwrite
-    wnorm = _norm(rem)
+    # w / 2^e with ||w|| = wnorm 2^e (start_norm's range): an exact scaling,
+    # so in range every product rounds as on w; a copy the passes overwrite
+    wnorm, e = math.frexp(start_norm(w))
+    rem = w * math.ldexp(1.0, -e)
     m = basis.size
     rem, coeffs, remnorm = _local_pass(rem, basis.v.T, 0)
     remnorm = _full_pass(rem, basis.v.T, coeffs, remnorm)

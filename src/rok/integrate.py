@@ -247,7 +247,7 @@ def integrate(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tableau,
                                            config.m_max, previous=basis)
         elif basis is None:
             basis = arnoldi.build_fixed(problem, y, f0, strategy.m)
-        return rok_step(problem, y, h, tableau, basis, extend=config.extend_with_stage_rhs)
+        return rok_step(basis, h, tableau, extend=config.extend_with_stage_rhs)
 
     return control(problem, t0, tf, y0, tableau, config, krylov_step)
 
@@ -269,5 +269,5 @@ def integrate_fixed(problem, t0: float, tf: float, y0: np.ndarray, tableau: Tabl
         if f0 is None:
             break
         basis = arnoldi.build_fixed(problem, y, f0, problem.dim if m is None else m)
-        y = rok_step(problem, y, h, tableau, basis).y_new
+        y = rok_step(basis, h, tableau).y_new
     return y

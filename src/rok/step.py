@@ -12,7 +12,8 @@ rok_step solves each stage in the reduced space of a Krylov basis (V, H):
     (I - h*gamma*H) lambda_i = h psi_i + h H sum_{j<i} gamma_ij lambda_j
     k_i      = V lambda_i + h (F_i - V psi_i) = V (lambda_i - h psi_i) + h F_i
 
-The basis is built from f(y), so F_1 is its start vector beta v_1,
+The basis is built from f(y), and the step reads the problem and y from
+it (basis.state), so F_1 is its start vector beta v_1,
 psi_1 = beta e_1 exactly and k_1 = V lambda_1.  rok_step never forms
 k_i.  It keeps each stage as the reduced vector mu_i = lambda_i - h psi_i
 (mu_1 = lambda_1) and its F_i, and forms a combination as
@@ -70,12 +71,12 @@ class StepInternals:
 
     It holds references to arrays the step computes anyway, the final
     basis included, so a caller that keeps a StepResult keeps that basis
-    alive.  The step forms no stage vector; k_stages forms them on first
-    read, k_i = V_i (lambda_i - h psi_i) + h F_i with V_i the basis of
-    stage i (k_1 = V_1 lambda_1).  direct_step results carry no record.
+    alive; the step's problem and state y are that basis's (basis.state).
+    The step forms no stage vector; k_stages forms them on first read,
+    k_i = V_i (lambda_i - h psi_i) + h F_i with V_i the basis of stage i
+    (k_1 = V_1 lambda_1).  direct_step results carry no record.
     """
 
-    y: np.ndarray
     h: float
     tableau: Tableau
     basis: arnoldi.KrylovBasis
@@ -131,18 +132,13 @@ def run_stages(problem, y: np.ndarray, tab: Tableau, f1: np.ndarray, solve_stage
     return y_new, y_embedded
 
 
-def rok_step(
-    problem,
-    y: np.ndarray,
-    h: float,
-    tableau: Tableau,
-    basis: arnoldi.KrylovBasis,
-    extend: bool = False,
-) -> StepResult:
-    """Advance one step of size h from y using a prebuilt Krylov basis.
+def rok_step(basis: arnoldi.KrylovBasis, h: float, tableau: Tableau,
+             extend: bool = False) -> StepResult:
+    """Advance one step of size h from the state the basis was built at.
 
-    The basis must be one build_fixed or build_adaptive returned for f(y),
-    with no appended vectors; stage 1 reuses its start vector instead of
+    The basis must be one build_fixed or build_adaptive returned, with no
+    appended vectors; the problem and y are its Arnoldi process's
+    (basis.state), and stage 1 reuses its start vector f(y) instead of
     re-evaluating the RHS.  The reduced system I - h*gamma*H is factored
     once (linalg.lu_factor); each appended stage vector grows the factor
     to the bordered H that extend returns (linalg.lu_append_column), and
@@ -156,6 +152,7 @@ def rok_step(
     """
     tab = tableau
     gamma_full, f_source = tab.gamma_full, tab.f_source
+    problem, y = basis.state.problem, basis.state.y
     fac = linalg.lu_factor(basis.h, h * tab.gamma)
     refactorized = False
     lambdas, f_stages, psi_stages = [], [], []
@@ -206,7 +203,7 @@ def rok_step(
                                            lambdas[0][basis.core_size - 1])
     stats = StepStats(basis_total=basis.size, extensions=basis.ext_count, first_stage_residual=r1,
                       refactorized=refactorized, hit_cap=basis.hit_cap)
-    internals = StepInternals(y, h, tab, basis, lambdas, f_stages, psi_stages)
+    internals = StepInternals(h, tab, basis, lambdas, f_stages, psi_stages)
     return StepResult(y_new=y_new, y_embedded=y_embedded, stats=stats, internals=internals)
 
 
@@ -238,7 +235,7 @@ def direct_step(problem, y: np.ndarray, f0: np.ndarray, h: float, tableau: Table
                       stats=StepStats(basis_total=n))
 
 
-def stage_residual_formula(problem, internals: StepInternals, i: int) -> np.ndarray:
+def stage_residual_formula(internals: StepInternals, i: int) -> np.ndarray:
     """Closed-form residual of stage i, for plain and extended steps alike.
 
     With V_j the basis at stage j, M the core size and Lambda =
@@ -252,8 +249,9 @@ def stage_residual_formula(problem, internals: StepInternals, i: int) -> np.ndar
 
     Without extension the last term is empty; with it, F_j is in the span
     of V_j and the first term is roundoff.  J V_i[:, M:] are the products
-    the basis keeps (basis.ext_jv), so the first term is the one Jv, with
-    the linearization of the basis's Arnoldi process (basis.state.lin).
+    the basis keeps (basis.ext_jv), so the first term is the one Jv, through
+    the problem and linearization of the basis's Arnoldi process
+    (basis.state).
     """
     h = internals.h
     basis = internals.basis
@@ -269,7 +267,7 @@ def stage_residual_formula(problem, internals: StepInternals, i: int) -> np.ndar
         lam_sum[: len(psi)] += gamma_full[i, j] * internals.lambdas[j]
         out_of_span += gamma_full[i, j] * (internals.f_stages[j] - basis.v[:, : len(psi)] @ psi)
 
-    r = -h * h * problem.jv(basis.state.lin, out_of_span)
+    r = -h * h * basis.state.problem.jv(basis.state.lin, out_of_span)
     if basis.h_next != 0.0:
         r -= h * basis.h_next * basis.v_next * lam_sum[m_core - 1]
     if dim_i > m_core:

@@ -5,10 +5,11 @@ checks.  Problems, step internals and tableaus come in as arguments and
 are read only through their public attributes: a problem's f, linearize
 and jv (as jv(linearize(y), v)), a step's recorded stages, and a
 tableau's raw coefficients (alpha, gamma_lower, gamma, b).  The
-direct stage residual takes its own linearization of the step's state,
-not the basis's.  The block matrices are assembled here
-with np.kron, the Jacobian of the dense Rosenbrock step column by column
-from jv, and everything is dense, for small problems only.
+direct stage residual takes its own linearization of the step's state
+(internals.basis.state.y), not the basis's.  The block matrices are
+assembled here with np.kron, the Jacobian of the dense Rosenbrock step
+column by column from jv, and everything is dense, for small problems
+only.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ def direct_stage_residual(problem, internals, i):
     h = internals.h
     gamma_full = tab.gamma_lower + tab.gamma * np.eye(tab.s)
     ksum = sum(gamma_full[i, j] * internals.k_stages[j] for j in range(i + 1))
-    jk = problem.jv(problem.linearize(internals.y), ksum)
+    jk = problem.jv(problem.linearize(internals.basis.state.y), ksum)
     return internals.k_stages[i] - h * internals.f_stages[i] - h * jk
 
 

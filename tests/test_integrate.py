@@ -189,6 +189,48 @@ def test_a_start_vector_whose_squares_leave_the_float_range_integrates(tab, stra
     assert np.max(np.abs(scaled.y / scale - unit.y)) <= 1e-9 * np.max(np.abs(unit.y))
 
 
+def _scaled_linear_runs(tab, n, scales, **config):
+    """integrate runs of y' = A y, A = N(0, 1)/4 - 2I from default_rng(1),
+    from y0 = s * ones with atol scaled along, for s = 1 and each scale,
+    under np.errstate(over="raise", invalid="raise", divide="raise")."""
+    rng = np.random.default_rng(1)
+    prob = make_linear(rng.standard_normal((n, n)) / 4 - 2.0 * np.eye(n))
+    sols = []
+    for s in (1.0, *scales):
+        cfg = IntegratorConfig(rtol=1e-6, atol=1e-6 * s, **config)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sols.append(integrate(prob, 0.0, 1.0, s * np.ones(n), tab, cfg))
+    return sols
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e-170])
+def test_stage_vectors_whose_squares_leave_the_float_range_extend_the_basis(tab, scale):
+    # M=2+ext appends two stage vectors per step.  extend measured them with
+    # sqrt(w . w), which overflows at 1e155 (FloatingPointError here, a
+    # warning and no append under numpy's defaults) and underflows to 0 at
+    # 1e-170 (every vector read as in the span: no append, no warning).  It
+    # takes the build's start_norm rule now, so the run is the one at scale 1.
+    unit, scaled = _scaled_linear_runs(tab, 12, [scale], basis_strategy=FixedBasis(2),
+                                       extend_with_stage_rhs=True)
+    counts = [(s.stats.accepted, s.stats.rejected, s.stats.extensions) for s in (unit, scaled)]
+    assert counts == [(29, 0, 58)] * 2
+    assert np.max(np.abs(scaled.y / scale - unit.y)) <= 1e-9 * np.max(np.abs(unit.y))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 4: R=tol tests the unweighted first-stage residual against rtol, so it "
+    "chooses the basis by the scale of y: 35 steps of mean basis 3.86 at scale 1, 399 of "
+    "basis 1 at 1e-100 and 1e-170, 35 capped at m_max = 12 at 1e100 and 1e155"))
+def test_adaptive_basis_does_not_depend_on_the_scale_of_y(tab):
+    # y' = A y is linear, so scaling y0 and atol together scales the whole
+    # run, as it does for a fixed basis; the basis sizes included.
+    unit, *scaled = _scaled_linear_runs(tab, 40, [1e-170, 1e-100, 1e100, 1e155],
+                                        basis_strategy=AdaptiveResidual(), m_max=12)
+    assert (unit.stats.accepted, unit.stats.mean_basis) == (35, pytest.approx(3.857, abs=1e-3))
+    for sol in scaled:
+        assert sol.stats.basis_sizes == unit.stats.basis_sizes
+
+
 def test_an_overflowing_error_estimate_is_a_rejection(tab):
     # A finite step whose weighted difference y_new - y_embedded squares past
     # the float range reads err = inf, a rejection that halves h, and raises

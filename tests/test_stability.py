@@ -40,7 +40,7 @@ def test_analytic_matches_empirical_basis(tab):
         basis = arnoldi.build_fixed(prob, y, prob.f(y), 6)
         analytic = stability.transfer_matrix_analytic(
             jac, stability.basis_approximation(basis), tab, h)
-        empirical = step.rok_step(prob, y, h, tab, basis).y_new
+        empirical = step.rok_step(basis, h, tab).y_new
         assert np.max(np.abs(analytic @ y - empirical)) <= 1e-11
 
 

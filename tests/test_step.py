@@ -31,7 +31,7 @@ def classical_rosenbrock_step(prob, y, h, tab):
 def run_step(prob, y, h, tab, m, extend=False):
     f = prob.f(y)
     basis = arnoldi.build_fixed(prob, y, f, m)
-    return step.rok_step(prob, y, h, tab, basis, extend=extend)
+    return step.rok_step(basis, h, tab, extend=extend)
 
 
 def test_full_basis_matches_classical_rosenbrock(tab):
@@ -54,7 +54,7 @@ def test_full_basis_matches_classical_rosenbrock(tab):
         assert ext.stats.extensions == 0
         for i in range(tab.s):
             d = oracles.direct_stage_residual(prob, ext.internals, i)
-            f = step.stage_residual_formula(prob, ext.internals, i)
+            f = step.stage_residual_formula(ext.internals, i)
             assert np.linalg.norm(d - f) <= 1e-9 * np.linalg.norm(d) + 1e-13
 
 
@@ -69,7 +69,7 @@ def test_residual_formula_matches_direct(tab):
         for i in range(tab.s):
             d = oracles.direct_stage_residual(prob, res.internals, i)
             jvs = prob.n_jvp
-            f = step.stage_residual_formula(prob, res.internals, i)
+            f = step.stage_residual_formula(res.internals, i)
             assert prob.n_jvp == jvs + 1
             assert np.linalg.norm(d - f) <= 1e-9 * np.linalg.norm(d) + 1e-13
 
@@ -86,7 +86,7 @@ def test_residual_formula_extended_matches_direct(tab):
         for i in range(tab.s):
             d = oracles.direct_stage_residual(prob, res.internals, i)
             jvs = prob.n_jvp
-            f = step.stage_residual_formula(prob, res.internals, i)
+            f = step.stage_residual_formula(res.internals, i)
             assert prob.n_jvp == jvs + 1  # J V_ext comes from basis.ext_jv
             assert np.linalg.norm(d - f) <= 1e-9 * np.linalg.norm(d) + 1e-13
 
@@ -104,7 +104,7 @@ def test_residual_formula_reuses_the_basis_linearization(tab, extend):
     assert (res.stats.extensions > 0) == extend
     assert len(calls) == 1  # the basis build
     for i in range(tab.s):
-        step.stage_residual_formula(prob, res.internals, i)
+        step.stage_residual_formula(res.internals, i)
     assert len(calls) == 1
 
 
@@ -148,7 +148,7 @@ def test_stage_rhs_reuse_for_repeated_alpha_rows(tab):
     f = prob.f(y)
     basis = arnoldi.build_fixed(prob, y, f, 4)
     prob.reset_counters()
-    step.rok_step(prob, y, 0.05, tab, basis)
+    step.rok_step(basis, 0.05, tab)
     assert prob.n_rhs == 2
 
 
@@ -166,7 +166,7 @@ def test_nonfinite_stage_rhs_raises(tab):
     f = prob.f(y)
     basis = arnoldi.build_fixed(prob, y, f, 3)
     with pytest.raises(NonFiniteError):
-        step.rok_step(prob, y, 0.1, tab, basis)
+        step.rok_step(basis, 0.1, tab)
 
 
 NON_FINITE = [np.array([np.nan, 1.0]), np.array([np.inf, 1.0]), np.array([-np.inf, 1.0]),
@@ -238,7 +238,7 @@ def test_reduced_assembly_matches_the_stage_record(tab, prob, y, h, kind):
         basis = arnoldi.build_fixed(prob, y, f, 6)
     else:
         basis = arnoldi.build_adaptive(prob, y, f, h, tab.gamma, 1e-6, 24)
-    res = step.rok_step(prob, y, h, tab, basis, extend=kind.endswith("+ext"))
+    res = step.rok_step(basis, h, tab, extend=kind.endswith("+ext"))
     assert res.stats.extensions == (2 if kind.endswith("+ext") else 0)
     ks = res.internals.k_stages
     for got, weights in ((res.y_new, tab.b), (res.y_embedded, tab.b_hat)):
@@ -253,7 +253,7 @@ def test_every_krylov_step_returns_its_stage_record(tab):
     f = prob.f(y)
     basis = arnoldi.build_fixed(prob, y, f, 4)
     for extend in (False, True):
-        record = step.rok_step(prob, y, 0.05, tab, basis, extend=extend).internals
+        record = step.rok_step(basis, 0.05, tab, extend=extend).internals
         for stages in (record.k_stages, record.lambdas, record.f_stages, record.psi_stages):
             assert len(stages) == tab.s
 
@@ -267,7 +267,7 @@ def test_a_reused_stage_rhs_reuses_its_projection(tab):
     y = rng.standard_normal(30)
     basis = arnoldi.build_fixed(prob, y, prob.f(y), 6)
     for extend in (False, True):
-        record = step.rok_step(prob, y, 0.05, tab, basis, extend=extend).internals
+        record = step.rok_step(basis, 0.05, tab, extend=extend).internals
         psi = record.psi_stages
         assert record.f_stages[3] is record.f_stages[2]
         assert psi[3] is psi[2]  # no second sweep of the basis
@@ -328,18 +328,18 @@ def test_every_step_factors_its_reduced_system_once(tab, monkeypatch):
         m = basis.size
         lam1 = np.linalg.solve(np.eye(m) - h * tab.gamma * basis.h, h * basis.beta * np.eye(m)[0])
         tested = abs(h * tab.gamma * basis.h_next) * abs(lam1[-1])
-        res = step.rok_step(prob, y, h, tab, basis)
+        res = step.rok_step(basis, h, tab)
         assert res.stats.first_stage_residual == pytest.approx(tested, rel=1e-12, abs=0.0)
         if not basis.hit_cap:
             assert res.stats.first_stage_residual <= tol * (1.0 + 1e-12)
         for built in (basis, arnoldi.build_fixed(prob, y, f, min(m_max, 8))):
             calls.clear()
-            step.rok_step(prob, y, h, tab, built)
+            step.rok_step(built, h, tab)
             assert len(calls) == 1
             assert np.array_equal(calls[0][0], built.h) and calls[0][1] == h * tab.gamma
             calls.clear()
             failed_before = len(failed)
-            ext = step.rok_step(prob, y, h, tab, built, extend=True)
+            ext = step.rok_step(built, h, tab, extend=True)
             assert ext.stats.extensions > 0
             assert len(calls) == 1 + len(failed) - failed_before
             assert ext.stats.refactorized == (len(failed) > failed_before)
@@ -357,7 +357,7 @@ def test_extended_step_refactors_when_the_append_fails(tab, monkeypatch):
     y = rng.standard_normal(40)
     h = 0.05
     basis = arnoldi.build_adaptive(prob, y, prob.f(y), h, tab.gamma, 1e-6, 48)
-    plain = step.rok_step(prob, y, h, tab, basis, extend=True)
+    plain = step.rok_step(basis, h, tab, extend=True)
     assert plain.stats.extensions > 0 and not plain.stats.refactorized
 
     failed = []
@@ -368,7 +368,7 @@ def test_extended_step_refactors_when_the_append_fails(tab, monkeypatch):
 
     monkeypatch.setattr(linalg, "lu_append_column", singular)
     calls = count_lu_factor(monkeypatch)
-    forced = step.rok_step(prob, y, h, tab, basis, extend=True)
+    forced = step.rok_step(basis, h, tab, extend=True)
     assert forced.stats.refactorized
     assert forced.stats.extensions == plain.stats.extensions == len(failed) == len(calls) - 1
     grown_h = forced.internals.basis.h
@@ -394,7 +394,7 @@ def test_first_stage_residual_is_the_tested_residual(tab, resid_tol):
         for i in range(1, m + 1):
             lu.append(basis.state.h[: i + 1, i - 1])
         tested = abs(h * tab.gamma * basis.h_next) * abs(lu.last_entry())
-        res = step.rok_step(prob, y, h, tab, basis)
+        res = step.rok_step(basis, h, tab)
         assert res.stats.first_stage_residual == pytest.approx(tested, rel=1e-12, abs=0.0)
         if not basis.hit_cap:
             assert res.stats.first_stage_residual <= resid_tol * (1.0 + 1e-12)
