@@ -1,6 +1,15 @@
 """Shared fixtures and randomized-problem factories for the test suite."""
 
-import numpy as np
+import os
+
+# BLAS on one thread, as CI and the benchmark run it, unless the caller
+# says otherwise; set before numpy loads OpenBLAS.  Threads only slow the
+# small products of these tests (a 128x128 Allen-Cahn run takes 4.5 times
+# as long with two threads on a 2-vCPU box).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from rok.problems import OdeProblem
