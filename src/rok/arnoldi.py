@@ -514,10 +514,12 @@ def extend(basis: KrylovBasis, w: np.ndarray) -> KrylovBasis:
     w is not modified: a step's combinations read its stage RHS after
     the append.
     """
-    # w / 2^e with ||w|| = wnorm 2^e (start_norm's range): an exact scaling,
-    # so in range every product rounds as on w; a copy the passes overwrite
+    # w / 2^e with ||w|| = wnorm 2^e (start_norm's range), entry by entry,
+    # since 2^-e overflows for ||w|| below 2^-1024: exact where the result
+    # is a normal float, so every product rounds as on w; a copy the passes
+    # overwrite
     wnorm, e = math.frexp(start_norm(w))
-    rem = w * math.ldexp(1.0, -e)
+    rem = np.ldexp(w, -e)
     m = basis.size
     rem, coeffs, remnorm = _local_pass(rem, basis.v.T, 0)
     remnorm = _full_pass(rem, basis.v.T, coeffs, remnorm)

@@ -268,6 +268,26 @@ def test_extend_leaves_w_unchanged():
     assert np.array_equal(w, saved)
 
 
+def test_extend_appends_at_every_scale_the_start_vector_handles():
+    # extend brings w to a norm in [0.5, 1) by a power of two before its
+    # passes.  At 2^-1024 times a norm below 1 that power, 2^1024, is not a
+    # finite float; the scaled w is still the unit-scale one up to the
+    # rounding of w's subnormal entries.
+    rng = np.random.default_rng(26)
+    prob = make_random_nonlinear(30, rng)
+    y = rng.standard_normal(30)
+    basis = arnoldi.build_fixed(prob, y, prob.f(y), 4)
+    w = rng.standard_normal(30)
+    w /= np.linalg.norm(w)
+    unit = arnoldi.extend(basis, w)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for scale in (2.0**600, 2.0**-600, 0.99 * 2.0**-1024, 2.0**-1030):
+            grown = arnoldi.extend(basis, w * scale)
+            assert grown.size == basis.size + 1
+            assert np.max(np.abs(grown.v - unit.v)) <= 1e-10
+            assert np.max(np.abs(grown.h - unit.h)) <= 1e-10 * np.max(np.abs(unit.h))
+
+
 def test_one_linearization_serves_an_arnoldi_process_and_its_extensions():
     rng = np.random.default_rng(25)
     base = make_random_nonlinear(30, rng)

@@ -8,11 +8,14 @@ difference, in the same weighted RMS, must stay within BOUND times the
 step's own estimate.  At 16x16 and 32x32 the classical step is the dense
 one of tests/oracles.py.  On the benchmark's inputs (64x64 and 128x128,
 perfbench/workloads.py) it is direct_step, with a sparse LU of J(y),
-which test_dense_oracle_is_the_direct_step checks against the dense one.
+which test_dense_oracle_is_the_direct_step checks against the dense one,
+and a cell of more than MAX_RETAKES accepted steps retakes a fixed sample
+of them.
 """
 
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +36,9 @@ BOUND = 2.0
 #: accepted step checked here estimates at least 0.04, but for 64x64
 #: R=tol+ext on the benchmark's inputs (down to 7.5e-4).
 ESTIMATE_FLOOR = 0.01
+#: A benchmark cell retakes at most this many of its accepted steps:
+#: direct_step takes 20-30 ms at 64x64 and about 0.1 s at 128x128.
+MAX_RETAKES = 24
 
 
 def _weighted_rms(d, y_new):
@@ -55,7 +61,9 @@ wl = _load_workloads()
 
 def _accepted_steps(monkeypatch, prob, t0, tf, y0, tab, config):
     """(y, h, y_new, y_embedded, hit_cap) of every accepted step of one
-    integrate run, recorded around rok_step."""
+    integrate run, recorded around rok_step.  A run of fewer than 10
+    accepted steps fails the test with pytest.fail, so that a strict xfail
+    for an escape (an AssertionError) does not hide it."""
     attempts = []
 
     def recording(basis, h, *args, **kwargs):
@@ -67,11 +75,24 @@ def _accepted_steps(monkeypatch, prob, t0, tf, y0, tab, config):
     integrate(prob, t0, tf, y0, tab, config)
     # An attempt was accepted when the next one starts from its result; the
     # run ends on an accepted one.
-    return [a for a, after in zip(attempts, attempts[1:] + [None]) if after is None or after[0] is a[2]]
+    accepted = [a for a, after in zip(attempts, attempts[1:] + [None]) if after is None or after[0] is a[2]]
+    if len(accepted) < 10:
+        pytest.fail(f"the run accepted {len(accepted)} steps, fewer than 10")
+    return accepted
+
+
+def _sample(accepted):
+    """Every k-th accepted step, counted back from the last, with the least
+    k that leaves at most MAX_RETAKES: every step of a run that takes at
+    most MAX_RETAKES.  The sample is fixed by the run, so a strict xfail
+    reads the same steps every time.  It takes the capped steps in
+    proportion and not all of them: 128x128 R=tol caps 54 of its 65."""
+    stride = math.ceil(len(accepted) / MAX_RETAKES)
+    return accepted[::-stride]
 
 
 def _check_estimates(accepted, retake):
-    """Assert that every accepted step's local error, y_new against
+    """Assert that every given accepted step's local error, y_new against
     retake(y, h), is at most BOUND times its estimate.  The message counts
     the escaping steps and those of them that hit the basis cap, and gives
     the largest ratio of error to estimate."""
@@ -83,7 +104,7 @@ def _check_estimates(accepted, retake):
         if error > BOUND * estimate:
             escapes += 1
             capped += hit_cap
-    assert escapes == 0, (f"{escapes} of {len(accepted)} accepted steps escape ({capped} of them "
+    assert escapes == 0, (f"{escapes} of {len(accepted)} checked steps escape ({capped} of them "
                           f"capped); the largest error/estimate is {max(ratios):.3g}")
 
 
@@ -103,7 +124,7 @@ def test_dense_oracle_is_the_direct_step(tab):
 @pytest.mark.parametrize("nx", [16, 32])
 @pytest.mark.parametrize("label", [
     "M=4", "M=16", "R=tol", "R=tol+ext",
-    pytest.param("M=4+ext", marks=pytest.mark.xfail(strict=True, reason=(
+    pytest.param("M=4+ext", marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "y - y_hat misses the Krylov error of a small extended basis: "
         "the local error reaches 4.6 (16x16) and 5.8 (32x32) times the estimate"))),
 ])
@@ -114,18 +135,17 @@ def test_error_estimate_bounds_the_local_error(nx, label, tab, monkeypatch):
     strategy, extend = parse_strategy(label)
     config = IntegratorConfig(rtol=TOL, atol=TOL, basis_strategy=strategy, extend_with_stage_rhs=extend)
     accepted = _accepted_steps(monkeypatch, prob, *prob.t_span, prob.y0, tab, config)
-    assert len(accepted) >= 10
     _check_estimates(accepted, lambda y, h: dense_rosenbrock_step(oracle_prob, y, h, tab))
 
 
 @pytest.mark.parametrize("nx, label", [
     (64, "M=4"), (64, "M=16"), (64, "R=tol"), (64, "R=tol+ext"),
     pytest.param(64, "M=4+ext", marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 13: 58 of 66 accepted steps escape, none capped; the local error "
-        "reaches 11.6 times the estimate"))),
+        "ROADMAP item 13: 19 of the 22 checked steps (every third of 66 accepted) escape, "
+        "none capped; the local error reaches 7.7 times the estimate"))),
     (128, "R=tol"),
     pytest.param(128, "R=tol+ext", marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 13: 3 of 17 accepted steps escape, all 3 capped; the local error "
+        "ROADMAP item 13: 3 of 17 checked (all accepted) steps escape, all 3 capped; the local error "
         "reaches 6.7 times the estimate"))),
 ])
 def test_error_estimate_bounds_the_local_error_at_workload_scale(nx, label, tab, monkeypatch):
@@ -137,5 +157,4 @@ def test_error_estimate_bounds_the_local_error_at_workload_scale(nx, label, tab,
     config = IntegratorConfig(rtol=TOL, atol=TOL, basis_strategy=strategy, extend_with_stage_rhs=extend,
                               h_init=wl.H_INIT, h_max=wl.H_MAX, m_max=wl.M_MAX)
     accepted = _accepted_steps(monkeypatch, prob, wl.T0, wl.TF, wl.initial_state(prob, nx, 0), tab, config)
-    assert len(accepted) >= 10
-    _check_estimates(accepted, lambda y, h: direct_step(oracle_prob, y, oracle_prob.f(y), h, tab).y_new)
+    _check_estimates(_sample(accepted), lambda y, h: direct_step(oracle_prob, y, oracle_prob.f(y), h, tab).y_new)
