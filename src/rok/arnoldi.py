@@ -18,6 +18,11 @@ at every scale the start vector handles.
 The basis vectors are the rows of one preallocated C-contiguous array, so
 one sweep of the basis is one matrix-vector product: c = Q z measures the
 overlap of a new vector z with every row, and z -= c^T Q subtracts it.
+One rule subtracts (_subtract): a single BLAS dgemv that writes into z,
+with no temporary.  One rule normalizes (_unit): every basis vector,
+the rows the process writes, a snapshot's v_next and an appended vector,
+is z times 1/||z||, and z / ||z|| only where that reciprocal is not a
+normal float, so a vector normalized twice rounds the same.
 Each Arnoldi vector J q_i first gets a local pass against q_{i-1} and
 q_i, and a vector appended from outside the Krylov sequence one against
 every row.  For any J a full pass follows: one measuring sweep, and the
@@ -92,6 +97,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 
 from . import linalg
 from .errors import ZeroStartVectorError
@@ -108,6 +114,10 @@ EPS = float(np.finfo(float).eps)
 #: and at least this: the squares that underflow then lose at most
 #: n * tiny, which is n * eps of the sum, the rounding bound of the sum.
 SUMSQ_MIN = float(np.finfo(float).tiny) / EPS
+
+#: The smallest normal float: _unit scales by a reciprocal only when it
+#: is at least this, so the reciprocal keeps full precision.
+TINY = float(np.finfo(float).tiny)
 
 #: A full Gram-Schmidt pass subtracts its measured overlap c = Q z only
 #: when ||c|| > OVERLAP_REL_TOL * ||z||; below that the subtraction would
@@ -229,17 +239,35 @@ def start_norm(f: np.ndarray) -> float:
     return scale * _norm(f / scale)
 
 
+def _unit(z: np.ndarray, znorm: float, out: np.ndarray | None = None) -> np.ndarray:
+    """z / znorm, into out when given: the one normalization of every basis
+    vector (the rows the process writes, a snapshot's v_next, extend's
+    appended vector), so that a vector normalized twice rounds the same.
+    It multiplies by 1/znorm, cheaper than a divide, when that reciprocal
+    is a normal float, and divides otherwise: a norm below 1/DBL_MAX, or
+    so large that its reciprocal is subnormal."""
+    r = 1.0 / znorm
+    return np.multiply(z, r, out=out) if TINY <= r < math.inf else np.divide(z, znorm, out=out)
+
+
+def _subtract(z: np.ndarray, c: np.ndarray, q: np.ndarray) -> None:
+    """z -= c^T q in place, as one BLAS dgemv that writes into z: no c^T q
+    temporary and no second pass over z.  z must be C-contiguous float64,
+    which problem.jv's results and extend's copy are: f2py would subtract
+    in a copy of any other z and leave z as it was."""
+    dgemv(-1.0, q.T, c, beta=1.0, y=z, overwrite_y=1)
+
+
 def _local_pass(z: np.ndarray, q: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Project rows lo: of q out of z in one classical Gram-Schmidt pass.
 
     Returns the remainder, which is z, owned by the caller and subtracted
     from in place, the projection coefficients of rows lo: and the
     remainder norm.  lo = 0 makes the pass a full one, for vectors that
-    lie nearly in the span; _full_pass follows it.  np.dot keeps the
-    products in BLAS also for a one-row q, where c^T @ q does not.
+    lie nearly in the span; _full_pass follows it.
     """
     c = np.dot(q[lo:], z)
-    np.subtract(z, np.dot(c, q[lo:]), out=z)
+    _subtract(z, c, q[lo:])
     return z, c, _norm(z)
 
 
@@ -257,7 +285,7 @@ def _full_pass(z: np.ndarray, q: np.ndarray, coeffs: np.ndarray, znorm: float) -
         cnorm = _norm(c)
         if cnorm <= OVERLAP_REL_TOL * znorm:
             break
-        np.subtract(z, np.dot(c, q), out=z)
+        _subtract(z, c, q)
         coeffs += c
         znorm = _norm(z)
         if cnorm <= znorm:
@@ -350,7 +378,7 @@ class _ArnoldiState:
     Holds m_max + EXTEND_SPARE_ROWS basis rows and the (m_max + 1, m_max)
     Hessenberg matrix; after m steps, rows 0..m-1 and h[:m+1, :m] are
     final, and v_{m+1} is pending as the remainder z and its norm, which
-    advance divides into row m (at m = 0, z is f and its norm beta =
+    advance normalizes into row m (at m = 0, z is f and its norm beta =
     start_norm(f), which raises ZeroStartVectorError only for f = 0).
     advance sets broke_down when the remainder of J q_m lies in the span
     (IN_SPAN_REL_TOL).
@@ -386,7 +414,7 @@ class _ArnoldiState:
         i = self.m
         self.rows = self.rows.claim(i, self.m_max + EXTEND_SPARE_ROWS)
         q = self.rows.q
-        np.divide(self.z, self.znorm, out=q[i])
+        _unit(self.z, self.znorm, out=q[i])
         zeta = self.problem.jv(self.lin, q[i])
         lo = max(0, i - 1)
         coeffs = self.h[: i + 1, i]  # column i of H, zero in the rows before lo
@@ -417,7 +445,7 @@ class _ArnoldiState:
             h_next, v_next = 0.0, None
         else:
             h_next = float(self.h[size, size - 1])
-            v_next = self.z / self.znorm if size == self.m else self.rows.q[size]
+            v_next = _unit(self.z, self.znorm) if size == self.m else self.rows.q[size]
             v_next.flags.writeable = False
         return KrylovBasis(
             v=self.rows.view(size),
@@ -525,7 +553,7 @@ def extend(basis: KrylovBasis, w: np.ndarray) -> KrylovBasis:
     remnorm = _full_pass(rem, basis.v.T, coeffs, remnorm)
     if remnorm <= IN_SPAN_REL_TOL * wnorm:  # w = 0 included
         return basis
-    vbar = rem / remnorm
+    vbar = _unit(rem, remnorm)
     jvbar = basis.state.problem.jv(basis.state.lin, vbar)
     rows = basis.rows.claim(m, m + EXTEND_SPARE_ROWS)
     rows.q[m] = vbar

@@ -68,11 +68,11 @@ class OdeProblem:
             raise JvpFailureError(f"linearize callback failed: {exc}") from exc
 
     def jv(self, lin, v):
-        """J(y) v for lin = linearize(y), counted in n_jvp, as an array the
-        caller may overwrite."""
+        """J(y) v for lin = linearize(y), counted in n_jvp, as a C-contiguous
+        array the caller may overwrite (in place, by BLAS)."""
         self.n_jvp += 1
         try:
-            out = np.asarray(lin(v), dtype=float)
+            out = np.ascontiguousarray(lin(v), dtype=float)
         except Exception as exc:
             raise JvpFailureError(f"Jv operator failed: {exc}") from exc
         if not np.isfinite(out).all():
@@ -162,14 +162,15 @@ def make_allen_cahn(spec: AllenCahnSpec) -> OdeProblem:
     reads no index arrays and rounds exactly as the CSR product does.  f
     is one call of scipy's DIA kernel (dia_matvec, without the per-call
     dispatch of lap @ x) plus the pointwise reaction term, added in
-    place.  linearize(u) computes the Jv diagonal d = gamma_rc (1 - 3u^2)
-    once per state and stacks it at offset 0 after the Laplacian's five
-    diagonals, in an array of this linearization's own, so that a later
-    linearization leaves it alone.  Jv is then one kernel call, with no
-    d * v temporary and no second pass: the kernel adds the diagonals in
-    stored order.  f and Jv round exactly as lap @ u + gamma_rc (u - u^3)
-    and lap @ v + d * v do.
-    The sparse Jacobian is the same matrix plus that diagonal; it is
+    place, with the cube as two multiplies (u*u*u; u**3 calls libm's pow
+    per entry).  linearize(u) adds the reaction diagonal
+    d = gamma_rc (1 - 3u^2) into a copy of the Laplacian's main diagonal,
+    the linearization's own, so that a later linearization leaves it
+    alone.  Jv is then one 5-diagonal kernel call, with no d * v pass.
+    f rounds exactly as lap @ u + gamma_rc (u - u*u*u), and Jv exactly as
+    the sparse Jacobian's product, sparse_jacobian(u) @ v: the kernel
+    adds a row's terms in column order, as the CSC and CSR products do.
+    The sparse Jacobian is the Laplacian plus that diagonal; it is
     symmetric, and the problem declares it so (symmetric_jacobian).  The
     initial field is 0.4 + 0.1(x+y) + 0.1 sin(10x) sin(20y) sampled at
     cell centers.  The name is allen-cahn-<nx>x<ny>-a<alpha>, with
@@ -181,9 +182,9 @@ def make_allen_cahn(spec: AllenCahnSpec) -> OdeProblem:
     lap = (spec.alpha * sp.kronsum(_laplacian_1d(nx, hx), _laplacian_1d(ny, hy))).todia()
     n = nx * ny
     offsets, diagonals = lap.offsets, lap.data
-    jv_offsets = np.append(offsets, 0).astype(offsets.dtype)
+    main = int(np.flatnonzero(offsets == 0)[0])
 
-    def dia_times(offsets, diagonals, x):
+    def dia_times(diagonals, x):
         # dia_matvec reads x unchecked, so check its length here
         if x.shape != (n,):
             raise ValueError(f"expected a vector of shape ({n},), got {x.shape}")
@@ -192,14 +193,16 @@ def make_allen_cahn(spec: AllenCahnSpec) -> OdeProblem:
         return out
 
     def rhs(u):
-        out = dia_times(offsets, diagonals, u)
-        cube = u**3
+        out = dia_times(diagonals, u)
+        cube = u * u
+        cube *= u
         out += np.multiply(gam, np.subtract(u, cube, out=cube), out=cube)  # gam (u - u^3)
         return out
 
     def linearize(u):
-        jv_diagonals = np.vstack((diagonals, gam * (1.0 - 3.0 * u**2)))
-        return lambda v: dia_times(jv_offsets, jv_diagonals, v)
+        jv_diagonals = diagonals.copy()
+        jv_diagonals[main] += gam * (1.0 - 3.0 * u**2)
+        return lambda v: dia_times(jv_diagonals, v)
 
     def jac(u):
         return lap + sp.diags(gam * (1.0 - 3.0 * u**2))

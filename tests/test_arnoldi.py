@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dgemv
 
 from rok import arnoldi, step
 from rok.errors import ZeroStartVectorError
@@ -620,6 +621,62 @@ def test_kernel_subtracts_an_overlap_above_rounding():
     rem, coeffs, remnorm = _orthogonalize(z, q, lo)
     assert coeffs[0] == pytest.approx(1.5 * arnoldi.OVERLAP_REL_TOL * remnorm, rel=0.05)
     assert np.linalg.norm(q @ rem) <= 0.1 * arnoldi.OVERLAP_REL_TOL * remnorm
+
+
+@pytest.mark.parametrize("lo", [11, 10, None])
+def test_the_subtraction_leaves_the_remainder_in_the_callers_array(lo):
+    # z -= c^T Q is one dgemv that writes into z.  A 1-row and a 2-row
+    # local pass (lo = 11 and 10 of 12 rows) return the caller's z, and a
+    # full pass (lo None), which returns only a norm, leaves its remainder
+    # there.  An f2py that copied z would break both.
+    rng = np.random.default_rng(38)
+    q = _orthonormal_rows(4096, 12, rng)
+    rows = q if lo is None else q[lo:]
+    z = rng.standard_normal(4096)
+    ref = z - np.dot(np.dot(rows, z), rows)
+    if lo is None:
+        rem = z.copy()
+        remnorm = arnoldi._full_pass(rem, q, np.zeros(12), float(np.linalg.norm(z)))
+    else:
+        zin = z.copy()
+        rem, _, remnorm = arnoldi._local_pass(zin, q, lo)
+        assert rem is zin
+    assert np.linalg.norm(rem - ref) <= 1e-15 * np.linalg.norm(ref)
+    assert remnorm == pytest.approx(np.linalg.norm(ref), rel=1e-15)
+    zin = z.copy()
+    assert dgemv(-1.0, rows.T, np.dot(rows, z), beta=1.0, y=zin, overwrite_y=1) is zin
+
+
+def test_a_strided_operator_result_is_orthogonalized_in_place():
+    # BLAS subtracts in place only in a C-contiguous array; jv returns one
+    # also where the operator's result is a strided view, so the basis is
+    # the one a contiguous result gives.
+    jac = make_random_linear(12, seed=4)
+    strided = OdeProblem(12, jac.f, lambda y: lambda v: np.repeat(jac.jv(jac.linearize(y), v), 2)[::2])
+    assert strided.jv(strided.linearize(jac.y0), jac.y0).flags.c_contiguous
+    f = jac.f(jac.y0)
+    ref = arnoldi.build_fixed(jac, jac.y0, f, 6)
+    basis = arnoldi.build_fixed(strided, jac.y0, f, 6)
+    assert np.array_equal(basis.v, ref.v) and np.array_equal(basis.h, ref.h)
+
+
+@pytest.mark.parametrize("scale", [1e-310, 5e307])
+def test_a_norm_without_a_normal_reciprocal_normalizes_by_division(scale):
+    # 1/||f|| overflows for f = 1e-310 (||f|| is below 1/DBL_MAX) and is
+    # subnormal for f = 5e307: the one normalization rule divides there,
+    # with no floating-point exception, and the basis is orthonormal.
+    # Elsewhere it multiplies by the reciprocal.
+    prob = make_random_linear(6, seed=3)
+    f = np.full(6, scale)
+    norm = arnoldi.start_norm(f)
+    assert not arnoldi.TINY <= 1.0 / norm < math.inf
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        assert np.array_equal(arnoldi._unit(f, norm), f / norm)
+        basis = arnoldi.build_fixed(prob, prob.y0, f, 4)
+    assert basis.size == 4
+    assert np.max(np.abs(basis.v.T @ basis.v - np.eye(4))) <= 1e-12
+    g = np.random.default_rng(39).standard_normal(6)
+    assert np.array_equal(arnoldi._unit(g, 3.0), g * (1.0 / 3.0))
 
 
 def test_kernel_keeps_adaptive_extended_and_nonsymmetric_bases_orthonormal():

@@ -88,16 +88,20 @@ def test_sparse_jacobian_matches_dense():
 @pytest.mark.parametrize("n", [64, 128])
 def test_allen_cahn_dia_products_equal_csr_products(n):
     # The Laplacian is stored by diagonals; its products must round exactly
-    # as the CSR products of the same matrix, and the sparse Jacobian must
-    # keep the CSR assembly's nonzeros.
+    # as the CSR products of the same matrix: f as lap @ u plus the
+    # reaction term, Jv as the product of the Jacobian, lap plus the
+    # reaction diagonal.  The sparse Jacobian must keep the CSR assembly's
+    # nonzeros.
     alpha, gam = 1.0, 1.0
     prob = make_allen_cahn(AllenCahnSpec(nx=n, ny=n, alpha=alpha, gamma_rc=gam))
     lap = (alpha * sp.kronsum(_laplacian_1d(n, 1.0 / n), _laplacian_1d(n, 1.0 / n))).tocsr()
     rng = np.random.default_rng(n)
     for _ in range(5):
         u, v = rng.standard_normal((2, n * n))
-        assert np.array_equal(prob.f(u), lap @ u + gam * (u - u**3))
-        assert np.array_equal(prob.jv(prob.linearize(u), v), lap @ v + gam * (1.0 - 3.0 * u**2) * v)
+        assert np.array_equal(prob.f(u), lap @ u + gam * (u - u * u * u))
+        jv = prob.jv(prob.linearize(u), v)
+        assert np.array_equal(jv, (lap + sp.diags(gam * (1.0 - 3.0 * u**2))) @ v)
+        assert np.array_equal(jv, prob.sparse_jacobian(u) @ v)
     jac = prob.sparse_jacobian(u)
     ref = sp.csc_matrix(lap + sp.diags(gam * (1.0 - 3.0 * u**2)))
     assert jac.nnz == ref.nnz == 5 * n * n - 4 * n
@@ -106,21 +110,24 @@ def test_allen_cahn_dia_products_equal_csr_products(n):
 
 
 def test_allen_cahn_products_round_as_the_public_formulas():
-    # f and Jv call the DIA kernel directly and add the reaction term in
-    # place; with alpha and gamma_rc that round, they must still equal the
-    # public sparse products bit for bit, and a linearization kept for
-    # several v must give what a fresh one gives, each product counted.
+    # f and Jv call the DIA kernel directly, f adding the reaction term in
+    # place and Jv with the reaction diagonal added into the main one;
+    # with alpha and gamma_rc that round, they must still equal the public
+    # sparse products bit for bit, and a linearization kept for several v
+    # must give what a fresh one gives, each product counted.
     nx, ny, alpha, gam = 9, 7, 0.3, 0.7
     prob = make_allen_cahn(AllenCahnSpec(nx=nx, ny=ny, alpha=alpha, gamma_rc=gam))
     lap = (alpha * sp.kronsum(_laplacian_1d(nx, 1.0 / nx), _laplacian_1d(ny, 1.0 / ny))).tocsr()
     rng = np.random.default_rng(36)
     u = prob.y0 + 0.1 * rng.standard_normal(prob.dim)
-    assert np.array_equal(prob.f(u), lap @ u + gam * (u - u**3))
+    assert np.array_equal(prob.f(u), lap @ u + gam * (u - u * u * u))
+    jac = lap + sp.diags(gam * (1.0 - 3.0 * u**2))
     lin = prob.linearize(u)
     prob.reset_counters()
     for v in rng.standard_normal((4, prob.dim)):
         kept = prob.jv(lin, v)
-        assert np.array_equal(kept, lap @ v + gam * (1.0 - 3.0 * u**2) * v)
+        assert np.array_equal(kept, jac @ v)
+        assert np.array_equal(kept, prob.sparse_jacobian(u) @ v)
         assert np.array_equal(kept, prob.jv(prob.linearize(u), v))
     assert prob.n_jvp == 8
 
@@ -135,21 +142,25 @@ def _neumann_laplacian_1d(n):
 
 @pytest.mark.parametrize("n", [16, 64])
 def test_allen_cahn_jv_is_one_call_of_the_kernel(n):
-    # Jv stacks the reaction diagonal after the Laplacian's five, so one
-    # kernel call rounds exactly as lap @ v + d * v.  Each linearization
-    # keeps its own diagonal: a lin taken at a still gives J(a) v after
-    # linearize(b).  A vector of the wrong shape still fails as a JVP.
+    # Jv adds the reaction diagonal into the Laplacian's main one, so one
+    # 5-diagonal kernel call rounds exactly as the Jacobian's product
+    # (lap + diag(d)) @ v.  Each linearization keeps its own diagonals: a
+    # lin taken at a still gives J(a) v after linearize(b).  A vector of the
+    # wrong shape still fails as a JVP.
     prob = make_allen_cahn(AllenCahnSpec(nx=n, ny=n, alpha=1.0))
     lap = sp.kronsum(_neumann_laplacian_1d(n), _neumann_laplacian_1d(n)).tocsr()
     rng = np.random.default_rng(n + 1)
     a, b = prob.y0 + 0.1 * rng.standard_normal((2, prob.dim))
+    jac_a, jac_b = (lap + sp.diags(1.0 - 3.0 * x**2) for x in (a, b))
     lin_a = prob.linearize(a)
     for v in rng.standard_normal((3, prob.dim)):
-        assert np.array_equal(prob.jv(lin_a, v), lap @ v + (1.0 - 3.0 * a**2) * v)
+        assert np.array_equal(prob.jv(lin_a, v), jac_a @ v)
+        assert np.array_equal(prob.jv(lin_a, v), prob.sparse_jacobian(a) @ v)
     lin_b = prob.linearize(b)
     v = rng.standard_normal(prob.dim)
-    assert np.array_equal(prob.jv(lin_a, v), lap @ v + (1.0 - 3.0 * a**2) * v)
-    assert np.array_equal(prob.jv(lin_b, v), lap @ v + (1.0 - 3.0 * b**2) * v)
+    assert np.array_equal(prob.jv(lin_a, v), jac_a @ v)
+    assert np.array_equal(prob.jv(lin_b, v), jac_b @ v)
+    assert np.array_equal(prob.jv(lin_b, v), prob.sparse_jacobian(b) @ v)
     for wrong in (np.ones(prob.dim - 1), np.ones((prob.dim, 1))):
         with pytest.raises(JvpFailureError):
             prob.jv(lin_a, wrong)
