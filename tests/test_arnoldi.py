@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg.blas import dgemv
 
 from rok import arnoldi, step
 from rok.errors import ZeroStartVectorError
@@ -643,20 +642,18 @@ def test_the_subtraction_leaves_the_remainder_in_the_callers_array(lo):
         assert rem is zin
     assert np.linalg.norm(rem - ref) <= 1e-15 * np.linalg.norm(ref)
     assert remnorm == pytest.approx(np.linalg.norm(ref), rel=1e-15)
-    zin = z.copy()
-    assert dgemv(-1.0, rows.T, np.dot(rows, z), beta=1.0, y=zin, overwrite_y=1) is zin
 
 
 def test_a_strided_operator_result_is_orthogonalized_in_place():
     # BLAS subtracts in place only in a C-contiguous array; jv returns one
     # also where the operator's result is a strided view, so the basis is
     # the one a contiguous result gives.
-    jac = make_random_linear(12, seed=4)
-    strided = OdeProblem(12, jac.f, lambda y: lambda v: np.repeat(jac.jv(jac.linearize(y), v), 2)[::2])
-    assert strided.jv(strided.linearize(jac.y0), jac.y0).flags.c_contiguous
-    f = jac.f(jac.y0)
-    ref = arnoldi.build_fixed(jac, jac.y0, f, 6)
-    basis = arnoldi.build_fixed(strided, jac.y0, f, 6)
+    prob = make_random_linear(12, seed=4)
+    strided = OdeProblem(12, prob.f, lambda y: lambda v: np.repeat(prob.jv(prob.linearize(y), v), 2)[::2])
+    assert strided.jv(strided.linearize(prob.y0), prob.y0).flags.c_contiguous
+    f = prob.f(prob.y0)
+    ref = arnoldi.build_fixed(prob, prob.y0, f, 6)
+    basis = arnoldi.build_fixed(strided, prob.y0, f, 6)
     assert np.array_equal(basis.v, ref.v) and np.array_equal(basis.h, ref.h)
 
 
@@ -670,7 +667,7 @@ def test_a_norm_without_a_normal_reciprocal_normalizes_by_division(scale):
     f = np.full(6, scale)
     norm = arnoldi.start_norm(f)
     assert not arnoldi.TINY <= 1.0 / norm < math.inf
-    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
         assert np.array_equal(arnoldi._unit(f, norm), f / norm)
         basis = arnoldi.build_fixed(prob, prob.y0, f, 4)
     assert basis.size == 4
